@@ -12,6 +12,7 @@
 #include "mrs/sim/network_service.hpp"
 #include "mrs/sim/simulation.hpp"
 #include "mrs/telemetry/export.hpp"
+#include "mrs/telemetry/lifecycle_counters.hpp"
 #include "mrs/telemetry/perfetto.hpp"
 #include "mrs/trace/jsonl.hpp"
 #include "mrs/trace/recorder.hpp"
@@ -214,20 +215,6 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
     engine.set_admission(admission.get());
   }
 
-  // Causal tracing (span trees + decision records + critical-path blame).
-  // The recorder and decision log observe lifecycle/placement events
-  // without touching RNG or scheduling, so an untraced run is
-  // byte-identical (tested by CausalTrace.DisabledIsByteIdentical).
-  const bool tracing = cfg.enable_tracing || !cfg.causal_trace_path.empty();
-  std::unique_ptr<trace::TraceRecorder> recorder;
-  std::unique_ptr<trace::DecisionLog> decision_log;
-  if (tracing) {
-    recorder = std::make_unique<trace::TraceRecorder>();
-    decision_log = std::make_unique<trace::DecisionLog>();
-    engine.set_trace_recorder(recorder.get());
-    scheduler->set_decision_log(decision_log.get());
-  }
-
   // One registry per run: metric values stay deterministic per (config,
   // seed) and parallel run_experiments shares no mutable state.
   telemetry::Registry registry;
@@ -238,20 +225,39 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
     if (cfg.net_faults.enabled()) net_faults.set_telemetry(&registry);
   }
 
-  std::unique_ptr<sim::CsvTraceSink> trace;
-  sim::MemoryTraceSink perfetto_events;
-  std::vector<sim::TraceSink*> sinks;
+  // Node -> class name (empty on a homogeneous cluster), for the per-class
+  // counters and the critical-path summary.
+  std::vector<std::string> class_of;
+  if (cluster.has_node_classes()) {
+    class_of.reserve(cluster.node_count());
+    for (std::size_t n = 0; n < cluster.node_count(); ++n) {
+      class_of.push_back(
+          cluster.class_name(cluster.node(NodeId(n)).class_index));
+    }
+  }
+
+  // Lifecycle observers: counters, the CSV trace, causal span trees and
+  // the Perfetto timeline all read the engine's one event stream. None
+  // touches RNG or scheduling, so an unobserved run is byte-identical
+  // (tested by CausalTrace.DisabledIsByteIdentical).
+  const bool tracing = cfg.enable_tracing || !cfg.causal_trace_path.empty();
+  std::optional<telemetry::LifecycleCounters> counters;
+  std::optional<mapreduce::CsvTraceObserver> csv_trace;
+  std::optional<trace::TraceRecorder> recorder;
+  std::optional<telemetry::PerfettoTrace> perfetto;
+  std::unique_ptr<trace::DecisionLog> decision_log;
+  if (cfg.enable_telemetry) {
+    engine.add_observer(&counters.emplace(registry, class_of));
+  }
   if (!cfg.trace_path.empty()) {
-    trace = std::make_unique<sim::CsvTraceSink>(cfg.trace_path);
-    sinks.push_back(trace.get());
+    engine.add_observer(&csv_trace.emplace(cfg.trace_path));
   }
-  if (!cfg.perfetto_path.empty()) sinks.push_back(&perfetto_events);
-  sim::TeeTraceSink tee(sinks);
-  if (sinks.size() == 1) {
-    engine.set_trace_sink(sinks.front());
-  } else if (sinks.size() > 1) {
-    engine.set_trace_sink(&tee);
+  if (tracing) {
+    engine.add_observer(&recorder.emplace());
+    decision_log = std::make_unique<trace::DecisionLog>();
+    scheduler->set_decision_log(decision_log.get());
   }
+  if (!cfg.perfetto_path.empty()) engine.add_observer(&perfetto.emplace());
 
   // Periodic gauge sampler (jobs in system, queue depths, utilization,
   // offered vs completed work). The `done` predicate lets the event queue
@@ -398,14 +404,6 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
         result.job_blames.push_back(*blame);
       }
     }
-    std::vector<std::string> class_of;
-    if (cluster.has_node_classes()) {
-      class_of.reserve(cluster.node_count());
-      for (std::size_t n = 0; n < cluster.node_count(); ++n) {
-        class_of.push_back(
-            cluster.class_name(cluster.node(NodeId(n)).class_index));
-      }
-    }
     result.critical_path =
         trace::summarize_critical_paths(result.job_blames, class_of);
     if (!cfg.causal_trace_path.empty()) {
@@ -417,10 +415,9 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
     telemetry::write_jsonl(cfg.telemetry_path, result.telemetry,
                            result.samples);
   }
-  if (!cfg.perfetto_path.empty()) {
-    telemetry::write_chrome_trace(cfg.perfetto_path,
-                                  perfetto_events.events(), result.telemetry,
-                                  result.samples, result.decisions);
+  if (perfetto) {
+    perfetto->write(cfg.perfetto_path, result.telemetry, result.samples,
+                    result.decisions);
   }
   return result;
 }

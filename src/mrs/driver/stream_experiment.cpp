@@ -11,13 +11,11 @@ namespace {
 /// Shared steady-state post-processing of a finished run.
 void finish_stream_result(const StreamConfig& cfg, StreamResult& result) {
   const metrics::Window window{cfg.warmup, cfg.arrivals.duration};
-  // Slot totals as the cluster was built (uniform node config).
-  const std::size_t map_slots = cfg.base.nodes * cfg.base.node.map_slots;
-  const std::size_t reduce_slots =
-      cfg.base.nodes * cfg.base.node.reduce_slots;
+  // Slot totals of the cluster as built: node classes set their own slots.
+  const mapreduce::UtilizationSummary& u = result.run.utilization;
   result.steady = metrics::steady_state_summary(
-      result.run.job_records, result.run.task_records, window, map_slots,
-      reduce_slots, result.run.admission_outcomes);
+      result.run.job_records, result.run.task_records, window,
+      u.total_map_slots, u.total_reduce_slots, result.run.admission_outcomes);
 }
 
 /// Keep the failure injector armed over the whole arrival horizon: with

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "mrs/common/log.hpp"
-#include "mrs/common/strfmt.hpp"
-#include "mrs/trace/recorder.hpp"
 
 namespace mrs::mapreduce {
 
@@ -39,69 +37,20 @@ void Engine::set_scheduler(TaskScheduler* scheduler) {
   scheduler_ = scheduler;
 }
 
-void Engine::set_trace_recorder(trace::TraceRecorder* recorder) {
-  MRS_REQUIRE(!started_);
-  recorder_ = recorder;
+void Engine::add_observer(LifecycleObserver* observer) {
+  MRS_REQUIRE(!started_ && observer != nullptr);
+  observers_.push_back(observer);
 }
 
 void Engine::set_telemetry(telemetry::Registry* registry) {
   MRS_REQUIRE(!started_);
   blacklist_.set_telemetry(registry);
-  registry_ = registry;
-  class_metrics_.clear();
   if (registry == nullptr) {
     metrics_ = Metrics{};
     return;
   }
-  telemetry::Registry& r = *registry;
-  metrics_.heartbeats = &r.counter("engine.heartbeats");
-  metrics_.jobs_activated = &r.counter("engine.jobs.activated");
-  metrics_.jobs_finished = &r.counter("engine.jobs.finished");
-  metrics_.maps_assigned = &r.counter("engine.maps.assigned");
-  metrics_.maps_finished = &r.counter("engine.maps.finished");
-  metrics_.maps_killed = &r.counter("engine.maps.killed");
-  metrics_.reduces_assigned = &r.counter("engine.reduces.assigned");
-  metrics_.reduces_finished = &r.counter("engine.reduces.finished");
-  metrics_.reduces_killed = &r.counter("engine.reduces.killed");
-  metrics_.speculative_launches = &r.counter("engine.speculative_launches");
-  metrics_.nodes_failed = &r.counter("engine.nodes.failed");
-  metrics_.nodes_recovered = &r.counter("engine.nodes.recovered");
-  metrics_.jobs_aborted = &r.counter("control.jobs.aborted");
-  metrics_.transfer_stall_timeouts =
-      &r.counter("engine.transfer.stall_timeouts");
-  metrics_.transfer_retries = &r.counter("engine.transfer.retries");
-  static constexpr const char* kMapLocality[3] = {
-      "engine.maps.locality.node", "engine.maps.locality.rack",
-      "engine.maps.locality.remote"};
-  static constexpr const char* kReduceLocality[3] = {
-      "engine.reduces.locality.node", "engine.reduces.locality.rack",
-      "engine.reduces.locality.remote"};
-  for (int l = 0; l < 3; ++l) {
-    metrics_.map_locality[l] = &r.counter(kMapLocality[l]);
-    metrics_.reduce_locality[l] = &r.counter(kReduceLocality[l]);
-  }
-  metrics_.heartbeat_wall = &r.timer("engine.heartbeat_wall");
-}
-
-Engine::ClassMetrics* Engine::class_metrics_for(NodeId node) {
-  if (registry_ == nullptr || !cluster_->has_node_classes()) return nullptr;
-  if (class_metrics_.empty()) {
-    class_metrics_.resize(cluster_->class_count());
-  }
-  const std::size_t c = cluster_->node(node).class_index;
-  ClassMetrics& m = class_metrics_[c];
-  if (m.maps_assigned == nullptr) {
-    const char* name = cluster_->class_name(c).c_str();
-    m.maps_assigned =
-        &registry_->counter(strf("hetero.class.%s.maps_assigned", name));
-    m.maps_finished =
-        &registry_->counter(strf("hetero.class.%s.maps_finished", name));
-    m.reduces_assigned =
-        &registry_->counter(strf("hetero.class.%s.reduces_assigned", name));
-    m.reduces_finished =
-        &registry_->counter(strf("hetero.class.%s.reduces_finished", name));
-  }
-  return &m;
+  metrics_.heartbeats = &registry->counter("engine.heartbeats");
+  metrics_.heartbeat_wall = &registry->timer("engine.heartbeat_wall");
 }
 
 JobRun& Engine::submit(JobSpec spec, Rng rng) {
@@ -183,10 +132,10 @@ void Engine::start() {
   heartbeats_.start([this](NodeId node) { on_heartbeat(node); });
 }
 
-void Engine::trace(sim::TraceEventKind kind, std::string subject,
-                   std::string detail) {
-  if (trace_ == nullptr) return;
-  trace_->record({now(), kind, std::move(subject), std::move(detail)});
+void Engine::emit(LifecycleEvent event) {
+  if (observers_.empty()) return;
+  event.time = now();
+  for (LifecycleObserver* observer : observers_) observer->on_event(event);
 }
 
 void Engine::try_admit(JobRun& job, std::size_t attempt) {
@@ -220,8 +169,8 @@ void Engine::try_admit(JobRun& job, std::size_t attempt) {
       activate_job(job);
       break;
     case control::AdmissionAction::kDefer: {
-      trace(sim::TraceEventKind::kJobDeferred, job.spec().name,
-            strf("retry_in=%.1f attempt=%zu", decision.retry_in, attempt));
+      emit({.kind = LifecycleKind::kJobDeferred, .job = &job.spec(),
+            .count = attempt, .value = decision.retry_in});
       JobRun* j = &job;
       simulation_->schedule_in(decision.retry_in, [this, j, attempt] {
         try_admit(*j, attempt + 1);
@@ -238,7 +187,7 @@ void Engine::reject_job(JobRun& job) {
   job.rejected = true;
   ++jobs_rejected_;
   log_debug("t=%.1f reject job %s", now(), job.spec().name.c_str());
-  trace(sim::TraceEventKind::kJobRejected, job.spec().name);
+  emit({.kind = LifecycleKind::kJobRejected, .job = &job.spec()});
   if (all_jobs_complete()) heartbeats_.stop();
 }
 
@@ -287,13 +236,9 @@ void Engine::abort_job(JobRun& job) {
       active_jobs_.end());
   if (scheduler_ != nullptr) scheduler_->on_job_finished(*this, job.id());
   ++jobs_aborted_;
-  telemetry::inc(metrics_.jobs_aborted);
   log_info("t=%.1f job %s aborted (task attempt cap)", now(),
            job.spec().name.c_str());
-  trace(sim::TraceEventKind::kJobAborted, job.spec().name);
-  if (recorder_ != nullptr) {
-    recorder_->job_finished(job.id(), now(), /*aborted=*/true);
-  }
+  emit({.kind = LifecycleKind::kJobAborted, .job = &job.spec()});
   if (all_jobs_complete()) heartbeats_.stop();
 }
 
@@ -301,14 +246,8 @@ void Engine::activate_job(JobRun& job) {
   active_jobs_.push_back(&job);
   ++jobs_activated_;
   job.admitted_at = now();
-  telemetry::inc(metrics_.jobs_activated);
   log_debug("t=%.1f activate job %s", now(), job.spec().name.c_str());
-  trace(sim::TraceEventKind::kJobActivated, job.spec().name);
-  if (recorder_ != nullptr) {
-    recorder_->job_activated(job.id(), job.spec().name, job.spec().tenant,
-                             job.map_count(), job.reduce_count(),
-                             job.submit_time, now());
-  }
+  emit({.kind = LifecycleKind::kJobActivated, .job = &job.spec()});
 }
 
 void Engine::on_heartbeat(NodeId node) {
@@ -399,24 +338,14 @@ void Engine::assign_map(JobRun& job, std::size_t j, NodeId node) {
   s.fetch_flow = FlowId::invalid();
   ++s.attempts;
   job.note_map_assigned();
-  telemetry::inc(metrics_.maps_assigned);
-  telemetry::inc(metrics_.map_locality[static_cast<int>(s.locality)]);
-  if (ClassMetrics* cm = class_metrics_for(node)) {
-    telemetry::inc(cm->maps_assigned);
-  }
   if (job.first_task_start < 0.0) {
     job.first_task_start = now();
     if (admission_ != nullptr && job.admitted_at >= 0.0) {
       admission_->note_queueing_delay(now() - job.admitted_at);
     }
   }
-  trace(sim::TraceEventKind::kMapAssigned,
-        strf("%s/map/%zu", job.spec().name.c_str(), j),
-        strf("node=%zu locality=%s", node.value(), to_string(s.locality)));
-  if (recorder_ != nullptr) {
-    recorder_->map_assigned(job.id(), j, node, static_cast<int>(s.locality),
-                            /*backup=*/false, now());
-  }
+  emit({.kind = LifecycleKind::kMapAssigned, .job = &job.spec(), .task = j,
+        .is_map = true, .node = node, .locality = s.locality});
 
   const auto epoch = s.epoch;
   s.pending_event = simulation_->schedule_in(
@@ -468,10 +397,9 @@ void Engine::map_attempt_ready(JobRun& job, std::size_t j, bool backup) {
         finish_map(job, j, backup);
       },
       /*rate_cap=*/cap);
-  if (recorder_ != nullptr) {
-    recorder_->map_running(job.id(), j, backup, /*remote=*/true, nominal,
-                           straggler, now());
-  }
+  emit({.kind = LifecycleKind::kMapRunning, .job = &job.spec(), .task = j,
+        .is_map = true, .backup = backup, .value = nominal, .remote = true,
+        .straggler = straggler});
   if (backup) {
     s.backup.phase = MapPhase::kFetching;
     s.backup.compute_start = now();
@@ -498,10 +426,9 @@ void Engine::start_map_compute(JobRun& job, std::size_t j, bool backup) {
         if (job.map_state(j).epoch != epoch) return;
         finish_map(job, j, backup);
       });
-  if (recorder_ != nullptr) {
-    recorder_->map_running(job.id(), j, backup, /*remote=*/false, duration,
-                           straggler, now());
-  }
+  emit({.kind = LifecycleKind::kMapRunning, .job = &job.spec(), .task = j,
+        .is_map = true, .backup = backup, .value = duration,
+        .straggler = straggler});
   if (backup) {
     s.backup.phase = MapPhase::kComputing;
     s.backup.compute_start = now();
@@ -528,9 +455,6 @@ void Engine::kill_map_attempt(JobRun& job, std::size_t j, bool backup) {
     if (s.backup.fetch_flow.valid()) network_->cancel(s.backup.fetch_flow);
     cluster_->release_map_slot(s.backup.node);
     s.backup = MapBackupAttempt{};
-    if (recorder_ != nullptr) {
-      recorder_->map_killed(job.id(), j, /*backup=*/true, now());
-    }
   } else {
     // Full attempt kill: the task returns to the unassigned pool. Any
     // surviving backup must be killed by the caller first.
@@ -546,13 +470,9 @@ void Engine::kill_map_attempt(JobRun& job, std::size_t j, bool backup) {
     s.compute_duration = 0.0;
     s.straggler = false;
     ++s.epoch;  // invalidate any stale in-flight callbacks
-    telemetry::inc(metrics_.maps_killed);
-    trace(sim::TraceEventKind::kMapKilled,
-          strf("%s/map/%zu", job.spec().name.c_str(), j));
-    if (recorder_ != nullptr) {
-      recorder_->map_killed(job.id(), j, /*backup=*/false, now());
-    }
   }
+  emit({.kind = LifecycleKind::kMapKilled, .job = &job.spec(), .task = j,
+        .is_map = true, .backup = backup});
 }
 
 void Engine::finish_map(JobRun& job, std::size_t j, bool backup) {
@@ -592,17 +512,9 @@ void Engine::finish_map(JobRun& job, std::size_t j, bool backup) {
   cluster_->release_map_slot(s.node);
   job.note_map_finished();
   job.record_map_duration(s.finished_at - s.assigned_at);
-  telemetry::inc(metrics_.maps_finished);
-  if (ClassMetrics* cm = class_metrics_for(s.node)) {
-    telemetry::inc(cm->maps_finished);
-  }
   record_task(job, /*is_map=*/true, j);
-  trace(sim::TraceEventKind::kMapFinished,
-        strf("%s/map/%zu", job.spec().name.c_str(), j),
-        strf("node=%zu attempts=%zu", s.node.value(), s.attempts));
-  if (recorder_ != nullptr) {
-    recorder_->map_finished(job.id(), j, backup, now());
-  }
+  emit({.kind = LifecycleKind::kMapFinished, .job = &job.spec(), .task = j,
+        .is_map = true, .backup = backup, .node = s.node, .count = s.attempts});
 
   // Publish this map's output to every reduce task already shuffling (and
   // not already holding it from a pre-failure run).
@@ -666,10 +578,9 @@ void Engine::maybe_speculate(NodeId node) {
     // Launch the backup copy here (costs one map budget like any launch).
     --heartbeat_map_budget_;
     ++speculative_attempts_;
-    telemetry::inc(metrics_.speculative_launches);
-    trace(sim::TraceEventKind::kSpeculativeLaunch,
-          strf("%s/map/%zu", best_job->spec().name.c_str(), best_task),
-          strf("backup-node=%zu", node.value()));
+    emit({.kind = LifecycleKind::kSpeculativeLaunch, .job = &best_job->spec(),
+          .task = best_task, .is_map = true, .backup = true, .node = node,
+          .locality = map_locality(*best_job, best_task, node)});
     touch_utilization();
     cluster_->occupy_map_slot(node);
     MapTaskState& s = best_job->map_state(best_task);
@@ -678,12 +589,6 @@ void Engine::maybe_speculate(NodeId node) {
     s.backup.phase = MapPhase::kStartup;
     s.backup.assigned_at = now();
     ++s.attempts;
-    if (recorder_ != nullptr) {
-      recorder_->map_assigned(
-          best_job->id(), best_task, node,
-          static_cast<int>(map_locality(*best_job, best_task, node)),
-          /*backup=*/true, now());
-    }
     const auto epoch = s.epoch;
     JobRun& job = *best_job;
     const std::size_t j = best_task;
@@ -730,24 +635,14 @@ void Engine::assign_reduce(JobRun& job, std::size_t f, NodeId node) {
   r.phase = ReducePhase::kStartup;
   ++r.attempts;
   job.note_reduce_assigned();
-  telemetry::inc(metrics_.reduces_assigned);
-  telemetry::inc(metrics_.reduce_locality[static_cast<int>(r.locality)]);
-  if (ClassMetrics* cm = class_metrics_for(node)) {
-    telemetry::inc(cm->reduces_assigned);
-  }
   if (job.first_task_start < 0.0) {
     job.first_task_start = now();
     if (admission_ != nullptr && job.admitted_at >= 0.0) {
       admission_->note_queueing_delay(now() - job.admitted_at);
     }
   }
-  trace(sim::TraceEventKind::kReduceAssigned,
-        strf("%s/reduce/%zu", job.spec().name.c_str(), f),
-        strf("node=%zu locality=%s", node.value(), to_string(r.locality)));
-  if (recorder_ != nullptr) {
-    recorder_->reduce_assigned(job.id(), f, node,
-                               static_cast<int>(r.locality), now());
-  }
+  emit({.kind = LifecycleKind::kReduceAssigned, .job = &job.spec(), .task = f,
+        .node = node, .locality = r.locality});
 
   const auto epoch = r.epoch;
   r.pending_event = simulation_->schedule_in(
@@ -760,7 +655,8 @@ void Engine::assign_reduce(JobRun& job, std::size_t f, NodeId node) {
 void Engine::start_reduce_shuffle(JobRun& job, std::size_t f) {
   ReduceTaskState& r = job.reduce_state(f);
   r.phase = ReducePhase::kShuffling;
-  if (recorder_ != nullptr) recorder_->reduce_shuffling(job.id(), f, now());
+  emit({.kind = LifecycleKind::kReduceShuffling, .job = &job.spec(),
+        .task = f});
   // Seed with every map that finished before this reduce started (skipping
   // outputs already copied by a pre-failure incarnation — there are none
   // on a fresh attempt because the kill resets the bitmap).
@@ -800,10 +696,7 @@ void Engine::kill_reduce_attempt(JobRun& job, std::size_t f, bool requeue) {
   r.postpone_count = 0;
   ++r.epoch;
   if (requeue) job.note_reduce_attempt_lost();
-  telemetry::inc(metrics_.reduces_killed);
-  trace(sim::TraceEventKind::kReduceKilled,
-        strf("%s/reduce/%zu", job.spec().name.c_str(), f));
-  if (recorder_ != nullptr) recorder_->reduce_killed(job.id(), f, now());
+  emit({.kind = LifecycleKind::kReduceKilled, .job = &job.spec(), .task = f});
 }
 
 void Engine::pump_reduce_fetchers(JobRun& job, std::size_t f) {
@@ -895,9 +788,8 @@ void Engine::finish_reduce_shuffle(JobRun& job, std::size_t f) {
     speed /= config_.fault.straggler_slowdown;
   }
   const Seconds duration = total / (job.spec().reduce_rate * speed);
-  if (recorder_ != nullptr) {
-    recorder_->reduce_shuffle_done(job.id(), f, duration, now());
-  }
+  emit({.kind = LifecycleKind::kReduceShuffleDone, .job = &job.spec(),
+        .task = f, .value = duration});
   const auto epoch = r.epoch;
   r.pending_event =
       simulation_->schedule_in(duration, [this, &job, f, epoch] {
@@ -925,15 +817,9 @@ void Engine::finish_reduce(JobRun& job, std::size_t f) {
   r.placement_cost = cost;
 
   job.note_reduce_finished();
-  telemetry::inc(metrics_.reduces_finished);
-  if (ClassMetrics* cm = class_metrics_for(r.node)) {
-    telemetry::inc(cm->reduces_finished);
-  }
   record_task(job, /*is_map=*/false, f);
-  trace(sim::TraceEventKind::kReduceFinished,
-        strf("%s/reduce/%zu", job.spec().name.c_str(), f),
-        strf("node=%zu attempts=%zu", r.node.value(), r.attempts));
-  if (recorder_ != nullptr) recorder_->reduce_finished(job.id(), f, now());
+  emit({.kind = LifecycleKind::kReduceFinished, .job = &job.spec(), .task = f,
+        .node = r.node, .count = r.attempts});
   check_job_complete(job);
 }
 
@@ -944,9 +830,8 @@ void Engine::finish_reduce(JobRun& job, std::size_t f) {
 void Engine::fail_node(NodeId node) {
   if (!cluster_->node_alive(node)) return;  // already down
   ++failures_injected_;
-  telemetry::inc(metrics_.nodes_failed);
   log_info("t=%.1f node %zu failed", now(), node.value());
-  trace(sim::TraceEventKind::kNodeFailed, strf("node/%zu", node.value()));
+  emit({.kind = LifecycleKind::kNodeFailed, .node = node});
 
   // Jobs whose attempt cap was blown by this failure; aborted after the
   // cluster state settles (abort kills attempts on other, alive nodes).
@@ -1036,8 +921,7 @@ void Engine::fail_node(NodeId node) {
   const bool was_listed = blacklist_.listed(node);
   blacklist_.note_failure(node, now());
   if (!was_listed && blacklist_.listed(node)) {
-    trace(sim::TraceEventKind::kNodeBlacklisted,
-          strf("node/%zu", node.value()));
+    emit({.kind = LifecycleKind::kNodeBlacklisted, .node = node});
   }
 
   for (JobRun* job : doomed) abort_job(*job);
@@ -1045,10 +929,8 @@ void Engine::fail_node(NodeId node) {
 
 void Engine::recover_node(NodeId node) {
   if (cluster_->node_alive(node)) return;
-  telemetry::inc(metrics_.nodes_recovered);
   log_info("t=%.1f node %zu recovered", now(), node.value());
-  trace(sim::TraceEventKind::kNodeRecovered,
-        strf("node/%zu", node.value()));
+  emit({.kind = LifecycleKind::kNodeRecovered, .node = node});
   touch_utilization();
   // Withhold slots first, then revive: the node never transits through
   // the free-slot index while on probation.
@@ -1066,8 +948,7 @@ void Engine::begin_probation(NodeId node) {
     if (!blacklist_.end_probation(node, probation_epoch)) return;
     touch_utilization();
     cluster_->set_node_schedulable(node, true);
-    trace(sim::TraceEventKind::kNodeUnblacklisted,
-          strf("node/%zu", node.value()));
+    emit({.kind = LifecycleKind::kNodeUnblacklisted, .node = node});
     log_info("t=%.1f node %zu off blacklist", now(), node.value());
   });
 }
@@ -1102,8 +983,7 @@ void Engine::note_stall_kill(NodeId node) {
   blacklist_.note_failure(node, now());
   if (!blacklist_.listed(node)) return;
   if (!was_listed) {
-    trace(sim::TraceEventKind::kNodeBlacklisted,
-          strf("node/%zu", node.value()));
+    emit({.kind = LifecycleKind::kNodeBlacklisted, .node = node});
   }
   // The node is alive (its transfers stalled; it did not crash), so the
   // recovery hook that normally starts probation never runs — start (or,
@@ -1135,10 +1015,8 @@ void Engine::check_map_stall(JobRun& job, std::size_t j) {
   }
   const NodeId node = s.node;
   ++s.stall_retries;
-  telemetry::inc(metrics_.transfer_stall_timeouts);
-  trace(sim::TraceEventKind::kStallTimeout,
-        strf("%s/map/%zu", job.spec().name.c_str(), j),
-        strf("node=%zu retries=%zu", node.value(), s.stall_retries));
+  emit({.kind = LifecycleKind::kStallTimeout, .job = &job.spec(), .task = j,
+        .is_map = true, .node = node, .count = s.stall_retries});
   kill_map_attempt(job, j, /*backup=*/false);
   note_stall_kill(node);
   if (config_.max_task_attempts != 0 &&
@@ -1157,7 +1035,8 @@ void Engine::check_map_stall(JobRun& job, std::size_t j) {
         if (job.aborted || job.finish_time >= 0.0) return;
         ms.phase = MapPhase::kUnassigned;
         job.note_map_attempt_lost();
-        telemetry::inc(metrics_.transfer_retries);
+        emit({.kind = LifecycleKind::kTaskRequeued, .job = &job.spec(),
+              .task = j, .is_map = true});
       });
 }
 
@@ -1191,10 +1070,8 @@ void Engine::check_reduce_stall(JobRun& job, std::size_t f) {
   }
   const NodeId node = r.node;
   ++r.stall_retries;
-  telemetry::inc(metrics_.transfer_stall_timeouts);
-  trace(sim::TraceEventKind::kStallTimeout,
-        strf("%s/reduce/%zu", job.spec().name.c_str(), f),
-        strf("node=%zu retries=%zu", node.value(), r.stall_retries));
+  emit({.kind = LifecycleKind::kStallTimeout, .job = &job.spec(), .task = f,
+        .node = node, .count = r.stall_retries});
   kill_reduce_attempt(job, f, /*requeue=*/false);
   note_stall_kill(node);
   if (config_.max_task_attempts != 0 &&
@@ -1210,7 +1087,8 @@ void Engine::check_reduce_stall(JobRun& job, std::size_t f) {
         if (job.aborted || job.finish_time >= 0.0) return;
         rs.phase = ReducePhase::kUnassigned;
         job.note_reduce_attempt_lost();
-        telemetry::inc(metrics_.transfer_retries);
+        emit({.kind = LifecycleKind::kTaskRequeued, .job = &job.spec(),
+              .task = f});
       });
 }
 
@@ -1295,12 +1173,8 @@ void Engine::check_job_complete(JobRun& job) {
       active_jobs_.end());
   if (scheduler_ != nullptr) scheduler_->on_job_finished(*this, job.id());
   ++jobs_completed_;
-  telemetry::inc(metrics_.jobs_finished);
-  trace(sim::TraceEventKind::kJobFinished, job.spec().name,
-        strf("jct=%.3f", job.finish_time - job.submit_time));
-  if (recorder_ != nullptr) {
-    recorder_->job_finished(job.id(), now(), /*aborted=*/false);
-  }
+  emit({.kind = LifecycleKind::kJobFinished, .job = &job.spec(),
+        .value = job.finish_time - job.submit_time});
   log_debug("t=%.1f job %s complete (%zu/%zu)", now(),
             job.spec().name.c_str(), jobs_completed_, jobs_.size());
   if (all_jobs_complete()) heartbeats_.stop();

@@ -20,17 +20,13 @@
 #include "mrs/control/blacklist.hpp"
 #include "mrs/dfs/block_store.hpp"
 #include "mrs/mapreduce/job_run.hpp"
+#include "mrs/mapreduce/lifecycle.hpp"
 #include "mrs/mapreduce/records.hpp"
 #include "mrs/mapreduce/scheduler.hpp"
 #include "mrs/net/distance.hpp"
 #include "mrs/sim/network_service.hpp"
-#include "mrs/sim/trace.hpp"
 #include "mrs/sim/simulation.hpp"
 #include "mrs/telemetry/registry.hpp"
-
-namespace mrs::trace {
-class TraceRecorder;
-}  // namespace mrs::trace
 
 namespace mrs::mapreduce {
 
@@ -113,21 +109,16 @@ class Engine {
   /// Install the task scheduler (must outlive the engine run).
   void set_scheduler(TaskScheduler* scheduler);
 
-  /// Optional execution trace (may be null; must outlive the run).
-  void set_trace_sink(sim::TraceSink* sink) { trace_ = sink; }
+  /// Attach a lifecycle observer (must outlive the run; call before
+  /// start()). Every job, task-attempt and node transition is emitted once,
+  /// as one LifecycleEvent, to each attached observer in attach order.
+  /// With none attached an emission costs one branch.
+  void add_observer(LifecycleObserver* observer);
 
   /// Optional telemetry registry (must outlive the run): registers the
-  /// engine's lifecycle counters, locality buckets and heartbeat timer.
-  /// Without it every metric pointer stays null and recording is a
-  /// predictable branch per event.
+  /// heartbeat counter and timer and the blacklist's metrics. The
+  /// lifecycle counters are an observer (telemetry::LifecycleCounters).
   void set_telemetry(telemetry::Registry* registry);
-
-  /// Optional causal-trace recorder (may be null; must outlive the run).
-  /// When installed, every job/attempt lifecycle transition is mirrored
-  /// into per-job span trees (see mrs/trace/recorder.hpp). The recorder
-  /// never feeds back into scheduling or RNG, so installing it cannot
-  /// change placements; null costs one branch per lifecycle event.
-  void set_trace_recorder(trace::TraceRecorder* recorder);
 
   /// Optional admission controller (may be null; must outlive the run).
   /// When installed, every arrival is routed through it at submit time:
@@ -312,48 +303,15 @@ class Engine {
   [[nodiscard]] Seconds draw_compute_duration(const JobRun& job,
                                               std::size_t j, NodeId node,
                                               bool* straggler);
-  /// Emit a trace event (no-op when no sink installed).
-  void trace(sim::TraceEventKind kind, std::string subject,
-             std::string detail = {});
+  /// Stamp `event` with the current time and hand it to every observer.
+  void emit(LifecycleEvent event);
 
   /// Possibly-null cached metric pointers into the attached registry
-  /// (telemetry::inc / observe tolerate null). Lifecycle counts mirror
-  /// the trace events; locality buckets index by mapreduce::Locality.
+  /// (telemetry::inc / ScopedTimer tolerate null).
   struct Metrics {
     telemetry::Counter* heartbeats = nullptr;
-    telemetry::Counter* jobs_activated = nullptr;
-    telemetry::Counter* jobs_finished = nullptr;
-    telemetry::Counter* maps_assigned = nullptr;
-    telemetry::Counter* maps_finished = nullptr;
-    telemetry::Counter* maps_killed = nullptr;
-    telemetry::Counter* reduces_assigned = nullptr;
-    telemetry::Counter* reduces_finished = nullptr;
-    telemetry::Counter* reduces_killed = nullptr;
-    telemetry::Counter* speculative_launches = nullptr;
-    telemetry::Counter* nodes_failed = nullptr;
-    telemetry::Counter* nodes_recovered = nullptr;
-    telemetry::Counter* jobs_aborted = nullptr;
-    telemetry::Counter* transfer_stall_timeouts = nullptr;
-    telemetry::Counter* transfer_retries = nullptr;
-    telemetry::Counter* map_locality[3] = {};     ///< node/rack/remote
-    telemetry::Counter* reduce_locality[3] = {};  ///< node/rack/remote
     telemetry::TimerStat* heartbeat_wall = nullptr;
   };
-
-  /// Per-heterogeneity-class lifecycle counters
-  /// ("hetero.class.<name>.*"), created lazily on the first event touching
-  /// a class — the control plane's per-tenant counter pattern. Only
-  /// materialized when the cluster carries named node classes, so
-  /// homogeneous runs register nothing extra.
-  struct ClassMetrics {
-    telemetry::Counter* maps_assigned = nullptr;
-    telemetry::Counter* maps_finished = nullptr;
-    telemetry::Counter* reduces_assigned = nullptr;
-    telemetry::Counter* reduces_finished = nullptr;
-  };
-  /// Null when uninstrumented or homogeneous; otherwise the (lazily
-  /// filled) ClassMetrics of `node`'s class.
-  ClassMetrics* class_metrics_for(NodeId node);
 
   sim::Simulation* simulation_;
   cluster::Cluster* cluster_;
@@ -363,13 +321,10 @@ class Engine {
   EngineConfig config_;
   Rng rng_;
   TaskScheduler* scheduler_ = nullptr;
-  sim::TraceSink* trace_ = nullptr;
-  trace::TraceRecorder* recorder_ = nullptr;
+  std::vector<LifecycleObserver*> observers_;
   control::AdmissionController* admission_ = nullptr;
   control::NodeBlacklist blacklist_;
   Metrics metrics_;
-  telemetry::Registry* registry_ = nullptr;  ///< for lazy class counters
-  std::vector<ClassMetrics> class_metrics_;  ///< indexed by class
   cluster::HeartbeatService heartbeats_;
   std::size_t failures_injected_ = 0;
   std::size_t speculative_attempts_ = 0;

@@ -1,8 +1,6 @@
 #include "mrs/telemetry/perfetto.hpp"
 
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 
 #include "mrs/common/strfmt.hpp"
@@ -20,16 +18,6 @@ constexpr int kWallPid = 4;      ///< host wall-clock timer aggregates
 
 std::string us(Seconds t) { return strf("%.3f", t * 1e6); }
 
-/// Value of "<key>=<digits>" inside a detail string; -1 when absent.
-long parse_long_field(const std::string& detail, const char* key) {
-  const auto pos = detail.find(key);
-  if (pos == std::string::npos) return -1;
-  const char* p = detail.c_str() + pos + std::string_view(key).size();
-  char* end = nullptr;
-  const long v = std::strtol(p, &end, 10);
-  return end == p ? -1 : v;
-}
-
 void append_event(std::string& out, const std::string& body) {
   if (!out.empty()) out += ",\n";
   out += body;
@@ -42,149 +30,130 @@ void append_process_name(std::string& out, int pid, const char* name) {
                     pid, name));
 }
 
-struct OpenSlice {
-  Seconds start = 0.0;
-  long tid = 0;
-  std::string detail;
-};
-
 }  // namespace
 
-std::string to_chrome_trace(
-    std::span<const sim::TraceEvent> events, const Snapshot& snapshot,
-    const TimeSeries& series,
-    std::span<const trace::PlacementDecisionRecord> decisions) {
+void PerfettoTrace::on_event(const mapreduce::LifecycleEvent& e) {
+  if (!printed(e)) return;
+  using mapreduce::LifecycleKind;
+  std::string& out = timeline_;
+  const std::string subject = mapreduce::format_subject(e);
+  switch (e.kind) {
+    case LifecycleKind::kJobActivated: {
+      open_jobs_[subject] = {e.time, next_job_tid_++, {}};
+      break;
+    }
+    case LifecycleKind::kJobFinished: {
+      const auto it = open_jobs_.find(subject);
+      if (it == open_jobs_.end()) break;
+      append_event(
+          out,
+          strf("{\"name\":\"%s\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":%s,"
+               "\"dur\":%s,\"pid\":%d,\"tid\":%zu,\"args\":{\"detail\":"
+               "\"%s\"}}",
+               json_escape(subject).c_str(), us(it->second.start).c_str(),
+               us(e.time - it->second.start).c_str(), kJobsPid,
+               it->second.tid,
+               json_escape(mapreduce::format_detail(e)).c_str()));
+      open_jobs_.erase(it);
+      break;
+    }
+    case LifecycleKind::kMapAssigned:
+    case LifecycleKind::kReduceAssigned: {
+      open_tasks_[subject] = {e.time, e.node.value(),
+                              mapreduce::format_detail(e)};
+      const auto flow = pending_retry_.find(subject);
+      if (flow != pending_retry_.end()) {
+        append_event(
+            out,
+            strf("{\"name\":\"retry\",\"cat\":\"retry\",\"ph\":\"f\","
+                 "\"bp\":\"e\",\"id\":%ld,\"ts\":%s,\"pid\":%d,"
+                 "\"tid\":%zu}",
+                 flow->second, us(e.time).c_str(), kTasksPid,
+                 e.node.value()));
+        pending_retry_.erase(flow);
+      }
+      break;
+    }
+    case LifecycleKind::kMapFinished:
+    case LifecycleKind::kMapKilled:
+    case LifecycleKind::kReduceFinished:
+    case LifecycleKind::kReduceKilled: {
+      const auto it = open_tasks_.find(subject);
+      if (it == open_tasks_.end()) break;
+      const bool killed = e.kind == LifecycleKind::kMapKilled ||
+                          e.kind == LifecycleKind::kReduceKilled;
+      append_event(
+          out,
+          strf("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,"
+               "\"dur\":%s,\"pid\":%d,\"tid\":%zu,\"args\":{\"assigned\":"
+               "\"%s\",\"end\":\"%s\"}}",
+               json_escape(subject).c_str(),
+               killed ? "killed" : (e.is_map ? "map" : "reduce"),
+               us(it->second.start).c_str(),
+               us(e.time - it->second.start).c_str(), kTasksPid,
+               it->second.tid, json_escape(it->second.detail).c_str(),
+               json_escape(mapreduce::format_detail(e)).c_str()));
+      if (killed) {
+        const long id = next_flow_id_++;
+        append_event(
+            out,
+            strf("{\"name\":\"retry\",\"cat\":\"retry\",\"ph\":\"s\","
+                 "\"id\":%ld,\"ts\":%s,\"pid\":%d,\"tid\":%zu}",
+                 id, us(e.time).c_str(), kTasksPid, it->second.tid));
+        pending_retry_[subject] = id;
+      }
+      open_tasks_.erase(it);
+      break;
+    }
+    case LifecycleKind::kSpeculativeLaunch:
+    case LifecycleKind::kNodeFailed:
+    case LifecycleKind::kNodeRecovered:
+    case LifecycleKind::kStallTimeout: {
+      const std::size_t tid = e.node.value();
+      append_event(
+          out,
+          strf("{\"name\":\"%s: %s\",\"cat\":\"event\",\"ph\":\"i\","
+               "\"s\":\"g\",\"ts\":%s,\"pid\":%d,\"tid\":%zu,\"args\":"
+               "{\"detail\":\"%s\"}}",
+               to_string(e.kind), json_escape(subject).c_str(),
+               us(e.time).c_str(), kTasksPid, tid,
+               json_escape(mapreduce::format_detail(e)).c_str()));
+      // Speculation flow: tie the still-running primary attempt's slice
+      // to the backup launch on the other node's track.
+      if (e.kind == LifecycleKind::kSpeculativeLaunch) {
+        const auto primary = open_tasks_.find(subject);
+        if (primary != open_tasks_.end()) {
+          const long id = next_flow_id_++;
+          append_event(
+              out,
+              strf("{\"name\":\"speculate\",\"cat\":\"speculation\","
+                   "\"ph\":\"s\",\"id\":%ld,\"ts\":%s,\"pid\":%d,"
+                   "\"tid\":%zu}",
+                   id, us(e.time).c_str(), kTasksPid, primary->second.tid));
+          append_event(
+              out,
+              strf("{\"name\":\"speculate\",\"cat\":\"speculation\","
+                   "\"ph\":\"f\",\"bp\":\"e\",\"id\":%ld,\"ts\":%s,"
+                   "\"pid\":%d,\"tid\":%zu}",
+                   id, us(e.time).c_str(), kTasksPid, tid));
+        }
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+std::string PerfettoTrace::document(
+    const Snapshot& snapshot, const TimeSeries& series,
+    std::span<const trace::PlacementDecisionRecord> decisions) const {
   std::string out;
   append_process_name(out, kTasksPid, "cluster nodes (task slices)");
   append_process_name(out, kJobsPid, "jobs");
   append_process_name(out, kCountersPid, "sampled gauges");
   append_process_name(out, kWallPid, "host wall-clock (aggregates)");
-
-  // assigned -> finished/killed pairing, keyed by subject. Re-assignments
-  // after a kill re-open the key, so every attempt gets its own slice.
-  std::map<std::string, OpenSlice> open_tasks;
-  std::map<std::string, OpenSlice> open_jobs;
-  long next_job_tid = 0;
-
-  // Flow arrows linking an aborted attempt to its re-execution: a kill
-  // opens a flow ("s") on the killed slice's track, the next assignment of
-  // the same subject closes it ("f") on the new node's track.
-  std::map<std::string, long> pending_retry;
-  long next_flow_id = 1;
-
-  using sim::TraceEventKind;
-  for (const auto& e : events) {
-    switch (e.kind) {
-      case TraceEventKind::kJobActivated: {
-        open_jobs[e.subject] = {e.time, next_job_tid++, e.detail};
-        break;
-      }
-      case TraceEventKind::kJobFinished: {
-        const auto it = open_jobs.find(e.subject);
-        if (it == open_jobs.end()) break;
-        append_event(
-            out,
-            strf("{\"name\":\"%s\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":%s,"
-                 "\"dur\":%s,\"pid\":%d,\"tid\":%ld,\"args\":{\"detail\":"
-                 "\"%s\"}}",
-                 json_escape(e.subject).c_str(), us(it->second.start).c_str(),
-                 us(e.time - it->second.start).c_str(), kJobsPid,
-                 it->second.tid, json_escape(e.detail).c_str()));
-        open_jobs.erase(it);
-        break;
-      }
-      case TraceEventKind::kMapAssigned:
-      case TraceEventKind::kReduceAssigned: {
-        const long tid = parse_long_field(e.detail, "node=");
-        open_tasks[e.subject] = {e.time, tid, e.detail};
-        const auto flow = pending_retry.find(e.subject);
-        if (flow != pending_retry.end()) {
-          append_event(
-              out,
-              strf("{\"name\":\"retry\",\"cat\":\"retry\",\"ph\":\"f\","
-                   "\"bp\":\"e\",\"id\":%ld,\"ts\":%s,\"pid\":%d,"
-                   "\"tid\":%ld}",
-                   flow->second, us(e.time).c_str(), kTasksPid,
-                   tid < 0 ? 0 : tid));
-          pending_retry.erase(flow);
-        }
-        break;
-      }
-      case TraceEventKind::kMapFinished:
-      case TraceEventKind::kMapKilled:
-      case TraceEventKind::kReduceFinished:
-      case TraceEventKind::kReduceKilled: {
-        const auto it = open_tasks.find(e.subject);
-        if (it == open_tasks.end()) break;
-        const bool is_map = e.kind == TraceEventKind::kMapFinished ||
-                            e.kind == TraceEventKind::kMapKilled;
-        const bool killed = e.kind == TraceEventKind::kMapKilled ||
-                            e.kind == TraceEventKind::kReduceKilled;
-        append_event(
-            out,
-            strf("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,"
-                 "\"dur\":%s,\"pid\":%d,\"tid\":%ld,\"args\":{\"assigned\":"
-                 "\"%s\",\"end\":\"%s\"}}",
-                 json_escape(e.subject).c_str(),
-                 killed ? "killed" : (is_map ? "map" : "reduce"),
-                 us(it->second.start).c_str(),
-                 us(e.time - it->second.start).c_str(), kTasksPid,
-                 it->second.tid < 0 ? 0 : it->second.tid,
-                 json_escape(it->second.detail).c_str(),
-                 json_escape(e.detail).c_str()));
-        if (killed) {
-          const long id = next_flow_id++;
-          append_event(
-              out,
-              strf("{\"name\":\"retry\",\"cat\":\"retry\",\"ph\":\"s\","
-                   "\"id\":%ld,\"ts\":%s,\"pid\":%d,\"tid\":%ld}",
-                   id, us(e.time).c_str(), kTasksPid,
-                   it->second.tid < 0 ? 0 : it->second.tid));
-          pending_retry[e.subject] = id;
-        }
-        open_tasks.erase(it);
-        break;
-      }
-      case TraceEventKind::kSpeculativeLaunch:
-      case TraceEventKind::kNodeFailed:
-      case TraceEventKind::kNodeRecovered:
-      case TraceEventKind::kStallTimeout: {
-        long tid = parse_long_field(e.detail, "node=");
-        if (tid < 0) tid = parse_long_field(e.detail, "backup-node=");
-        if (tid < 0) tid = parse_long_field(e.subject, "node/");
-        append_event(
-            out,
-            strf("{\"name\":\"%s: %s\",\"cat\":\"event\",\"ph\":\"i\","
-                 "\"s\":\"g\",\"ts\":%s,\"pid\":%d,\"tid\":%ld,\"args\":"
-                 "{\"detail\":\"%s\"}}",
-                 to_string(e.kind), json_escape(e.subject).c_str(),
-                 us(e.time).c_str(), kTasksPid, tid < 0 ? 0 : tid,
-                 json_escape(e.detail).c_str()));
-        // Speculation flow: tie the still-running primary attempt's slice
-        // to the backup launch on the other node's track.
-        if (e.kind == TraceEventKind::kSpeculativeLaunch) {
-          const auto primary = open_tasks.find(e.subject);
-          if (primary != open_tasks.end()) {
-            const long id = next_flow_id++;
-            append_event(
-                out,
-                strf("{\"name\":\"speculate\",\"cat\":\"speculation\","
-                     "\"ph\":\"s\",\"id\":%ld,\"ts\":%s,\"pid\":%d,"
-                     "\"tid\":%ld}",
-                     id, us(e.time).c_str(), kTasksPid,
-                     primary->second.tid < 0 ? 0 : primary->second.tid));
-            append_event(
-                out,
-                strf("{\"name\":\"speculate\",\"cat\":\"speculation\","
-                     "\"ph\":\"f\",\"bp\":\"e\",\"id\":%ld,\"ts\":%s,"
-                     "\"pid\":%d,\"tid\":%ld}",
-                     id, us(e.time).c_str(), kTasksPid, tid < 0 ? 0 : tid));
-          }
-        }
-        break;
-      }
-    }
-  }
+  if (!timeline_.empty()) append_event(out, timeline_);
 
   // Placement decision records as thread-scoped instants on the offering
   // node's track — hovering one shows why a slot was (not) filled.
@@ -234,17 +203,17 @@ std::string to_chrome_trace(
   return "{\"traceEvents\":[\n" + out + "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-void write_chrome_trace(
-    const std::string& path, std::span<const sim::TraceEvent> events,
-    const Snapshot& snapshot, const TimeSeries& series,
-    std::span<const trace::PlacementDecisionRecord> decisions) {
+void PerfettoTrace::write(
+    const std::string& path, const Snapshot& snapshot,
+    const TimeSeries& series,
+    std::span<const trace::PlacementDecisionRecord> decisions) const {
   std::ofstream out(path);
   if (!out) {
-    throw std::runtime_error("write_chrome_trace: cannot open " + path);
+    throw std::runtime_error("PerfettoTrace::write: cannot open " + path);
   }
-  out << to_chrome_trace(events, snapshot, series, decisions);
+  out << document(snapshot, series, decisions);
   if (!out) {
-    throw std::runtime_error("write_chrome_trace: write failed: " + path);
+    throw std::runtime_error("PerfettoTrace::write: write failed: " + path);
   }
 }
 

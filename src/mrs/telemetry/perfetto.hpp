@@ -1,7 +1,7 @@
 // Chrome trace-event ("Trace Event Format") exporter, loadable in
 // ui.perfetto.dev and chrome://tracing.
 //
-// The timeline is reconstructed from the engine's TraceSink events:
+// The timeline is built from the engine's lifecycle stream as it runs:
 // assigned->finished/killed pairs become complete ("X") slices on a track
 // per cluster node, job activation->finish pairs become slices on a job
 // track, and kills/failures/speculative launches become instant events.
@@ -14,27 +14,52 @@
 // map to trace microseconds.
 #pragma once
 
+#include <map>
 #include <span>
 #include <string>
 
-#include "mrs/sim/trace.hpp"
+#include "mrs/mapreduce/lifecycle.hpp"
 #include "mrs/telemetry/registry.hpp"
 #include "mrs/telemetry/sampler.hpp"
 #include "mrs/trace/decision.hpp"
 
 namespace mrs::telemetry {
 
-/// Build the complete {"traceEvents":[...]} JSON document.
-[[nodiscard]] std::string to_chrome_trace(
-    std::span<const sim::TraceEvent> events, const Snapshot& snapshot,
-    const TimeSeries& series,
-    std::span<const trace::PlacementDecisionRecord> decisions = {});
+class PerfettoTrace final : public mapreduce::LifecycleObserver {
+ public:
+  void on_event(const mapreduce::LifecycleEvent& e) override;
 
-/// Write to_chrome_trace(...) to `path`; throws std::runtime_error on I/O
-/// error.
-void write_chrome_trace(
-    const std::string& path, std::span<const sim::TraceEvent> events,
-    const Snapshot& snapshot, const TimeSeries& series,
-    std::span<const trace::PlacementDecisionRecord> decisions = {});
+  /// The complete {"traceEvents":[...]} JSON document: the timeline so
+  /// far, then decisions, sampled counters and wall-clock timers.
+  [[nodiscard]] std::string document(
+      const Snapshot& snapshot, const TimeSeries& series,
+      std::span<const trace::PlacementDecisionRecord> decisions = {}) const;
+
+  /// Write document(...) to `path`; throws std::runtime_error on I/O
+  /// error.
+  void write(const std::string& path, const Snapshot& snapshot,
+             const TimeSeries& series,
+             std::span<const trace::PlacementDecisionRecord> decisions =
+                 {}) const;
+
+ private:
+  struct OpenSlice {
+    Seconds start = 0.0;
+    std::size_t tid = 0;
+    std::string detail;
+  };
+
+  std::string timeline_;  ///< ",\n"-joined lifecycle trace events
+  // assigned -> finished/killed pairing, keyed by subject. Re-assignments
+  // after a kill re-open the key, so every attempt gets its own slice.
+  std::map<std::string, OpenSlice> open_tasks_;
+  std::map<std::string, OpenSlice> open_jobs_;
+  std::size_t next_job_tid_ = 0;
+  // Flow arrows linking an aborted attempt to its re-execution: a kill
+  // opens a flow ("s") on the killed slice's track, the next assignment of
+  // the same subject closes it ("f") on the new node's track.
+  std::map<std::string, long> pending_retry_;
+  long next_flow_id_ = 1;
+};
 
 }  // namespace mrs::telemetry

@@ -4,133 +4,101 @@
 
 namespace mrs::trace {
 
+using mapreduce::LifecycleEvent;
+using mapreduce::LifecycleKind;
+
 JobTrace& TraceRecorder::job(JobId id) {
   MRS_REQUIRE(id.valid());
   if (id.value() >= jobs_.size()) jobs_.resize(id.value() + 1);
   return jobs_[id.value()];
 }
 
-AttemptSpan* TraceRecorder::open_attempt(TaskSpans& task, bool backup) {
-  for (auto it = task.attempts.rbegin(); it != task.attempts.rend(); ++it) {
-    if (it->backup == backup && !it->closed) return &*it;
+AttemptSpan* TraceRecorder::open_attempt(const LifecycleEvent& e) {
+  JobTrace& jt = job(e.job->id);
+  auto& tasks = e.is_map ? jt.maps : jt.reduces;
+  MRS_REQUIRE(e.task < tasks.size());
+  auto& attempts = tasks[e.task].attempts;
+  for (auto it = attempts.rbegin(); it != attempts.rend(); ++it) {
+    if (it->backup == e.backup && !it->closed) return &*it;
   }
   return nullptr;
 }
 
-void TraceRecorder::job_activated(JobId id, const std::string& name,
-                                  TenantId tenant, std::size_t map_count,
-                                  std::size_t reduce_count, Seconds submit,
-                                  Seconds now) {
-  JobTrace& jt = job(id);
-  jt.job = id;
-  jt.name = name;
-  jt.tenant = tenant;
-  jt.submit = submit;
-  jt.admitted = now;
-  jt.activated = true;
-  jt.maps.resize(map_count);
-  jt.reduces.resize(reduce_count);
-}
-
-void TraceRecorder::job_finished(JobId id, Seconds now, bool aborted) {
-  JobTrace& jt = job(id);
-  jt.finish = now;
-  jt.aborted = aborted;
-}
-
-void TraceRecorder::map_assigned(JobId id, std::size_t task, NodeId node,
-                                 int locality, bool backup, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  AttemptSpan a;
-  a.attempt = jt.maps[task].attempts.size() + 1;
-  a.node = node;
-  a.locality = locality;
-  a.backup = backup;
-  a.assigned = now;
-  jt.maps[task].attempts.push_back(a);
-}
-
-void TraceRecorder::map_running(JobId id, std::size_t task, bool backup,
-                                bool remote, Seconds nominal, bool straggler,
-                                Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  if (AttemptSpan* a = open_attempt(jt.maps[task], backup)) {
-    a->ready = now;
-    a->remote_fetch = remote;
-    a->nominal_compute = nominal;
-    a->straggler = straggler;
-  }
-}
-
-void TraceRecorder::map_finished(JobId id, std::size_t task, bool backup,
-                                 Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  for (AttemptSpan& a : jt.maps[task].attempts) {
-    if (a.closed) continue;
-    a.closed = true;
-    a.end = now;
-    a.finished = (a.backup == backup);  // losing racer is implicitly killed
-  }
-}
-
-void TraceRecorder::map_killed(JobId id, std::size_t task, bool backup,
-                               Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.maps.size());
-  if (AttemptSpan* a = open_attempt(jt.maps[task], backup)) {
-    a->closed = true;
-    a->end = now;
-  }
-}
-
-void TraceRecorder::reduce_assigned(JobId id, std::size_t task, NodeId node,
-                                    int locality, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  AttemptSpan a;
-  a.attempt = jt.reduces[task].attempts.size() + 1;
-  a.node = node;
-  a.locality = locality;
-  a.assigned = now;
-  jt.reduces[task].attempts.push_back(a);
-}
-
-void TraceRecorder::reduce_shuffling(JobId id, std::size_t task, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) a->ready = now;
-}
-
-void TraceRecorder::reduce_shuffle_done(JobId id, std::size_t task,
-                                        Seconds compute_duration,
-                                        Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) {
-    a->shuffle_done = now;
-    a->nominal_compute = compute_duration;
-  }
-}
-
-void TraceRecorder::reduce_finished(JobId id, std::size_t task, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) {
-    a->closed = true;
-    a->end = now;
-    a->finished = true;
-  }
-}
-
-void TraceRecorder::reduce_killed(JobId id, std::size_t task, Seconds now) {
-  JobTrace& jt = job(id);
-  MRS_REQUIRE(task < jt.reduces.size());
-  if (AttemptSpan* a = open_attempt(jt.reduces[task], false)) {
-    a->closed = true;
-    a->end = now;
+void TraceRecorder::on_event(const LifecycleEvent& e) {
+  switch (e.kind) {
+    case LifecycleKind::kJobActivated: {
+      JobTrace& jt = job(e.job->id);
+      jt.job = e.job->id;
+      jt.name = e.job->name;
+      jt.tenant = e.job->tenant;
+      jt.submit = e.job->submit_time;
+      jt.admitted = e.time;
+      jt.activated = true;
+      jt.maps.resize(e.job->map_tasks.size());
+      jt.reduces.resize(e.job->reduce_count);
+      break;
+    }
+    case LifecycleKind::kJobFinished:
+    case LifecycleKind::kJobAborted: {
+      JobTrace& jt = job(e.job->id);
+      jt.finish = e.time;
+      jt.aborted = e.kind == LifecycleKind::kJobAborted;
+      break;
+    }
+    case LifecycleKind::kMapAssigned:
+    case LifecycleKind::kSpeculativeLaunch:
+    case LifecycleKind::kReduceAssigned: {
+      JobTrace& jt = job(e.job->id);
+      auto& tasks = e.is_map ? jt.maps : jt.reduces;
+      MRS_REQUIRE(e.task < tasks.size());
+      AttemptSpan a;
+      a.attempt = tasks[e.task].attempts.size() + 1;
+      a.node = e.node;
+      a.locality = static_cast<int>(e.locality);
+      a.backup = e.backup;
+      a.assigned = e.time;
+      tasks[e.task].attempts.push_back(a);
+      break;
+    }
+    case LifecycleKind::kMapRunning:
+      if (AttemptSpan* a = open_attempt(e)) {
+        a->ready = e.time;
+        a->remote_fetch = e.remote;
+        a->nominal_compute = e.value;
+        a->straggler = e.straggler;
+      }
+      break;
+    case LifecycleKind::kReduceShuffling:
+      if (AttemptSpan* a = open_attempt(e)) a->ready = e.time;
+      break;
+    case LifecycleKind::kReduceShuffleDone:
+      if (AttemptSpan* a = open_attempt(e)) {
+        a->shuffle_done = e.time;
+        a->nominal_compute = e.value;
+      }
+      break;
+    case LifecycleKind::kMapFinished: {
+      JobTrace& jt = job(e.job->id);
+      MRS_REQUIRE(e.task < jt.maps.size());
+      for (AttemptSpan& a : jt.maps[e.task].attempts) {
+        if (a.closed) continue;
+        a.closed = true;
+        a.end = e.time;
+        a.finished = (a.backup == e.backup);  // the losing racer is killed
+      }
+      break;
+    }
+    case LifecycleKind::kReduceFinished:
+    case LifecycleKind::kMapKilled:
+    case LifecycleKind::kReduceKilled:
+      if (AttemptSpan* a = open_attempt(e)) {
+        a->closed = true;
+        a->end = e.time;
+        a->finished = e.kind == LifecycleKind::kReduceFinished;
+      }
+      break;
+    default:
+      break;
   }
 }
 

@@ -8,9 +8,8 @@
 // critical-path extractor can partition a job's response time exactly.
 //
 // The model is plain data on purpose: the recorder (recorder.hpp) fills
-// it from engine lifecycle hooks that pass ids, indices, and times —
-// never engine object references — so mrs_trace depends only on
-// mrs_common and the engine can forward-declare the recorder.
+// it from the engine's lifecycle events (ids, indices, times and flags),
+// so the spans outlive the engine and serialize without it.
 #pragma once
 
 #include <cstddef>

@@ -354,16 +354,20 @@ TEST(CausalTrace, WritesAnalyzableJsonl) {
 }
 
 TEST(PerfettoFlow, RetryFlowLinksKillToReassignment) {
-  std::vector<sim::TraceEvent> events;
-  events.push_back({0.0, sim::TraceEventKind::kMapAssigned, "j/map/0",
-                    "node=3 locality=node-local"});
-  events.push_back({5.0, sim::TraceEventKind::kMapKilled, "j/map/0", ""});
-  events.push_back({7.0, sim::TraceEventKind::kMapAssigned, "j/map/0",
-                    "node=5 locality=remote"});
-  events.push_back({20.0, sim::TraceEventKind::kMapFinished, "j/map/0",
-                    "node=5"});
-  const auto json =
-      telemetry::to_chrome_trace(events, telemetry::Snapshot{}, {});
+  using mapreduce::LifecycleKind;
+  mapreduce::JobSpec job;
+  job.name = "j";
+  telemetry::PerfettoTrace perfetto;
+  perfetto.on_event({.time = 0.0, .kind = LifecycleKind::kMapAssigned,
+                     .job = &job, .is_map = true, .node = NodeId(3),
+                     .locality = mapreduce::Locality::kNodeLocal});
+  perfetto.on_event({.time = 5.0, .kind = LifecycleKind::kMapKilled,
+                     .job = &job, .is_map = true});
+  perfetto.on_event({.time = 7.0, .kind = LifecycleKind::kMapAssigned,
+                     .job = &job, .is_map = true, .node = NodeId(5)});
+  perfetto.on_event({.time = 20.0, .kind = LifecycleKind::kMapFinished,
+                     .job = &job, .is_map = true, .node = NodeId(5)});
+  const auto json = perfetto.document(telemetry::Snapshot{}, {});
   // One retry flow: start on the killed slice's track at the kill time,
   // finish on the new node's track at the re-assignment.
   EXPECT_NE(json.find("\"cat\":\"retry\",\"ph\":\"s\""), std::string::npos);
@@ -375,15 +379,21 @@ TEST(PerfettoFlow, RetryFlowLinksKillToReassignment) {
 }
 
 TEST(PerfettoFlow, SpeculationFlowLinksPrimaryToBackup) {
-  std::vector<sim::TraceEvent> events;
-  events.push_back({0.0, sim::TraceEventKind::kMapAssigned, "j/map/1",
-                    "node=2 locality=node-local"});
-  events.push_back({9.0, sim::TraceEventKind::kSpeculativeLaunch, "j/map/1",
-                    "backup-node=8"});
-  events.push_back({12.0, sim::TraceEventKind::kMapFinished, "j/map/1",
-                    "node=8"});
-  const auto json =
-      telemetry::to_chrome_trace(events, telemetry::Snapshot{}, {});
+  using mapreduce::LifecycleKind;
+  mapreduce::JobSpec job;
+  job.name = "j";
+  telemetry::PerfettoTrace perfetto;
+  perfetto.on_event({.time = 0.0, .kind = LifecycleKind::kMapAssigned,
+                     .job = &job, .task = 1, .is_map = true,
+                     .node = NodeId(2),
+                     .locality = mapreduce::Locality::kNodeLocal});
+  perfetto.on_event({.time = 9.0, .kind = LifecycleKind::kSpeculativeLaunch,
+                     .job = &job, .task = 1, .is_map = true, .backup = true,
+                     .node = NodeId(8)});
+  perfetto.on_event({.time = 12.0, .kind = LifecycleKind::kMapFinished,
+                     .job = &job, .task = 1, .is_map = true, .backup = true,
+                     .node = NodeId(8)});
+  const auto json = perfetto.document(telemetry::Snapshot{}, {});
   EXPECT_NE(json.find("\"cat\":\"speculation\",\"ph\":\"s\""),
             std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"speculation\",\"ph\":\"f\""),
@@ -403,8 +413,9 @@ TEST(PerfettoFlow, DecisionRecordsBecomeInstants) {
   rec.p = 0.25;
   rec.outcome = trace::DecisionOutcome::kBernoulliReject;
   const std::vector<trace::PlacementDecisionRecord> decisions = {rec};
-  const auto json = telemetry::to_chrome_trace({}, telemetry::Snapshot{},
-                                               {}, decisions);
+  const auto json =
+      telemetry::PerfettoTrace().document(telemetry::Snapshot{}, {},
+                                          decisions);
   EXPECT_NE(json.find("decision: bernoulli-reject"), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"decision\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":6"), std::string::npos);

@@ -4,13 +4,14 @@
 #include "mrs/mapreduce/failure_injector.hpp"
 #include "mrs/net/link_condition.hpp"
 #include "mrs/sched/fifo.hpp"
-#include "mrs/sim/trace.hpp"
+#include "mrs/telemetry/lifecycle_counters.hpp"
 #include "mrs/telemetry/registry.hpp"
 #include "test_harness.hpp"
 
 namespace mrs::mapreduce {
 namespace {
 
+using mrs::testing::LifecycleLog;
 using mrs::testing::MiniCluster;
 
 // MiniCluster with a link-condition model wired into the network service,
@@ -74,9 +75,10 @@ TEST(StallRetry, CutTransferTimesOutRetriesAndCompletes) {
   sched::FifoScheduler fifo;
   h.engine.set_scheduler(&fifo);
   telemetry::Registry registry;
-  h.engine.set_telemetry(&registry);
-  sim::MemoryTraceSink trace;
-  h.engine.set_trace_sink(&trace);
+  telemetry::LifecycleCounters counters(registry, {});
+  h.engine.add_observer(&counters);
+  LifecycleLog trace;
+  h.engine.add_observer(&trace);
   h.engine.start();
   h.sim.schedule_at(1.0, [&] {
     for (std::size_t l = 0; l < h.topo.link_count(); ++l) {
@@ -97,7 +99,7 @@ TEST(StallRetry, CutTransferTimesOutRetriesAndCompletes) {
   EXPECT_GT(snap.counter("engine.transfer.retries"), 0u);
   // Every stall kill is traced, and every kill eventually produced a retry
   // (nothing hit the attempt cap: max_task_attempts defaults to 0).
-  EXPECT_EQ(trace.count(sim::TraceEventKind::kStallTimeout),
+  EXPECT_EQ(trace.count(LifecycleKind::kStallTimeout),
             snap.counter("engine.transfer.stall_timeouts"));
   EXPECT_EQ(snap.counter("engine.transfer.retries"),
             snap.counter("engine.transfer.stall_timeouts"));
@@ -120,8 +122,8 @@ TEST(StallRetry, RepeatedStallKillsFeedBlacklistProbation) {
   h.submit_job(16, 4, 256.0 * units::kMiB);
   sched::FifoScheduler fifo;
   h.engine.set_scheduler(&fifo);
-  sim::MemoryTraceSink trace;
-  h.engine.set_trace_sink(&trace);
+  LifecycleLog trace;
+  h.engine.add_observer(&trace);
   h.engine.start();
   h.sim.schedule_at(1.0, [&] {
     for (std::size_t l = 0; l < h.topo.link_count(); ++l) {
@@ -135,12 +137,12 @@ TEST(StallRetry, RepeatedStallKillsFeedBlacklistProbation) {
   });
   h.sim.run(1e6);
   EXPECT_TRUE(h.engine.all_jobs_complete());
-  EXPECT_GE(trace.count(sim::TraceEventKind::kStallTimeout), 2u);
-  EXPECT_GE(trace.count(sim::TraceEventKind::kNodeBlacklisted), 1u);
+  EXPECT_GE(trace.count(LifecycleKind::kStallTimeout), 2u);
+  EXPECT_GE(trace.count(LifecycleKind::kNodeBlacklisted), 1u);
   // Every listed node served out its probation and rejoined: the run ends
   // with the whole cluster schedulable again.
-  EXPECT_EQ(trace.count(sim::TraceEventKind::kNodeUnblacklisted),
-            trace.count(sim::TraceEventKind::kNodeBlacklisted));
+  EXPECT_EQ(trace.count(LifecycleKind::kNodeUnblacklisted),
+            trace.count(LifecycleKind::kNodeBlacklisted));
   for (std::size_t n = 0; n < 4; ++n) {
     EXPECT_TRUE(h.clstr.node(NodeId(n)).schedulable) << "node " << n;
   }

@@ -3,6 +3,7 @@
 // windowing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "mrs/driver/stream_experiment.hpp"
@@ -39,6 +40,47 @@ TEST(StreamExperiment, DrainsAndReportsSteadyState) {
   EXPECT_LE(r.steady.map_slot_utilization, 1.0);
   EXPECT_DOUBLE_EQ(r.steady.window.begin, 100.0);
   EXPECT_DOUBLE_EQ(r.steady.window.end, 600.0);
+}
+
+// Node classes with their own slot counts: utilization must divide the
+// busy slot-seconds by the slots the cluster really has (here 9 x 16/8 +
+// 9 x 1/1 = 153/81), not by nodes x the base node's 4/2.
+TEST(StreamExperiment, UtilizationUsesClassSlotTotals) {
+  StreamConfig cfg = tiny_stream(SchedulerKind::kPna);
+  cfg.base.nodes = 18;
+  cfg.base.racks = 2;
+  cfg.base.hetero.classes = {{"big", 1.0, 1.0, 16, 8},
+                             {"small", 1.0, 1.0, 1, 1}};
+  cfg.base.hetero.assign = hetero::AssignMode::kByRack;
+  cfg.arrivals.rate_per_hour = 900.0;
+  cfg.arrivals.duration = 600.0;
+  cfg.arrivals.mix.map_count_scale = 0.05;
+  cfg.arrivals.mix.reduce_count_scale = 0.05;
+  const auto r = run_stream_experiment(cfg);
+  std::size_t map_slots = 0, reduce_slots = 0;
+  for (const auto& c : r.run.node_classes) {
+    map_slots += c.nodes * c.map_slots;
+    reduce_slots += c.nodes * c.reduce_slots;
+  }
+  ASSERT_EQ(map_slots, 153u);
+  ASSERT_EQ(reduce_slots, 81u);
+  double map_busy = 0.0, reduce_busy = 0.0;
+  const double begin = cfg.warmup, end = cfg.arrivals.duration;
+  for (const auto& t : r.run.task_records) {
+    const double busy = std::max(0.0, std::min(t.finished_at, end) -
+                                          std::max(t.assigned_at, begin));
+    (t.is_map ? map_busy : reduce_busy) += busy;
+  }
+  EXPECT_GT(r.steady.reduce_slot_utilization, 0.0);
+  EXPECT_LE(r.steady.map_slot_utilization, 1.0);
+  EXPECT_LE(r.steady.reduce_slot_utilization, 1.0);
+  EXPECT_NEAR(r.steady.map_slot_utilization,
+              map_busy / ((end - begin) * static_cast<double>(map_slots)),
+              1e-12);
+  EXPECT_NEAR(r.steady.reduce_slot_utilization,
+              reduce_busy /
+                  ((end - begin) * static_cast<double>(reduce_slots)),
+              1e-12);
 }
 
 TEST(StreamExperiment, IdenticalSeedsIdenticalSteadyMetrics) {

@@ -319,21 +319,30 @@ TEST(JsonlExport, EscapesHostileStrings) {
 }
 
 TEST(PerfettoExport, EmitsBalancedJsonWithSlicesAndCounters) {
-  std::vector<sim::TraceEvent> events = {
-      {0.0, sim::TraceEventKind::kJobActivated, "job1", ""},
-      {1.0, sim::TraceEventKind::kMapAssigned, "job1/map/0",
-       "node=2 locality=node-local"},
-      {4.0, sim::TraceEventKind::kMapFinished, "job1/map/0", "node=2"},
-      {2.0, sim::TraceEventKind::kReduceAssigned, "job1/reduce/0",
-       "node=1"},
-      {5.5, sim::TraceEventKind::kReduceKilled, "job1/reduce/0",
-       "node=1 reason=node-failure"},
-      {3.0, sim::TraceEventKind::kSpeculativeLaunch, "job1/map/1",
-       "node=0"},
-      {6.0, sim::TraceEventKind::kJobFinished, "job1", ""},
-  };
+  using mapreduce::LifecycleKind;
+  mapreduce::JobSpec job;
+  job.name = "job1";
+  PerfettoTrace perfetto;
+  for (const mapreduce::LifecycleEvent& e :
+       {mapreduce::LifecycleEvent{.time = 0.0,
+                                  .kind = LifecycleKind::kJobActivated,
+                                  .job = &job},
+        {.time = 1.0, .kind = LifecycleKind::kMapAssigned, .job = &job,
+         .is_map = true, .node = NodeId(2),
+         .locality = mapreduce::Locality::kNodeLocal},
+        {.time = 4.0, .kind = LifecycleKind::kMapFinished, .job = &job,
+         .is_map = true, .node = NodeId(2), .count = 1},
+        {.time = 2.0, .kind = LifecycleKind::kReduceAssigned, .job = &job,
+         .node = NodeId(1)},
+        {.time = 5.5, .kind = LifecycleKind::kReduceKilled, .job = &job},
+        {.time = 3.0, .kind = LifecycleKind::kSpeculativeLaunch, .job = &job,
+         .task = 1, .is_map = true, .backup = true, .node = NodeId(0)},
+        {.time = 6.0, .kind = LifecycleKind::kJobFinished, .job = &job,
+         .value = 6.0}}) {
+    perfetto.on_event(e);
+  }
   const std::string doc =
-      to_chrome_trace(events, example_snapshot(), example_series());
+      perfetto.document(example_snapshot(), example_series());
 
   // Structurally balanced JSON document.
   int braces = 0, brackets = 0;
@@ -365,11 +374,15 @@ TEST(PerfettoExport, EmitsBalancedJsonWithSlicesAndCounters) {
 TEST(PerfettoExport, UnpairedAssignIsTolerated) {
   // An assignment with no finish (run truncated) must not corrupt the
   // document.
-  std::vector<sim::TraceEvent> events = {
-      {1.0, sim::TraceEventKind::kMapAssigned, "j/map/0", "node=0"},
-  };
-  const std::string doc =
-      to_chrome_trace(events, Snapshot{}, TimeSeries{});
+  mapreduce::JobSpec job;
+  job.name = "j";
+  PerfettoTrace perfetto;
+  perfetto.on_event({.time = 1.0,
+                     .kind = mapreduce::LifecycleKind::kMapAssigned,
+                     .job = &job,
+                     .is_map = true,
+                     .node = NodeId(0)});
+  const std::string doc = perfetto.document(Snapshot{}, TimeSeries{});
   int braces = 0;
   for (char c : doc) {
     if (c == '{') ++braces;

@@ -2,15 +2,30 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mrs/cluster/cluster.hpp"
 #include "mrs/dfs/block_store.hpp"
 #include "mrs/mapreduce/engine.hpp"
+#include "mrs/mapreduce/lifecycle.hpp"
 #include "mrs/net/distance.hpp"
 #include "mrs/sim/network_service.hpp"
 #include "mrs/sim/simulation.hpp"
 
 namespace mrs::testing {
+
+/// Keeps every lifecycle event an engine emits.
+struct LifecycleLog final : mapreduce::LifecycleObserver {
+  void on_event(const mapreduce::LifecycleEvent& e) override {
+    events.push_back(e);
+  }
+  [[nodiscard]] std::size_t count(mapreduce::LifecycleKind kind) const {
+    std::size_t n = 0;
+    for (const auto& e : events) n += e.kind == kind ? 1 : 0;
+    return n;
+  }
+  std::vector<mapreduce::LifecycleEvent> events;
+};
 
 struct MiniCluster {
   explicit MiniCluster(std::size_t nodes,

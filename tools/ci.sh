@@ -6,7 +6,10 @@
 #   3. trace smoke: a --trace-out run must produce a causal trace that
 #      trace_analyze accepts (per-job blame buckets summing to the
 #      measured response time, shares summing to ~100%)
-#   4. perf smoke: bench_micro_scheduler's gated families must keep the
+#   4. observer smoke: one chaos stream with all four observers attached
+#      must show CSV per-kind row counts equal to the lifecycle counters;
+#      the run header must report a fat-tree's real node count
+#   5. perf smoke: bench_micro_scheduler's gated families must keep the
 #      optimized path ahead of the naive path (2x for the saturated
 #      heartbeat scans, 10x for the 1k-host fat-tree flow solver) and
 #      within 20% of tools/perf_baseline.json (PNATS_PERF_REGEN=1
@@ -14,9 +17,9 @@
 #      compares medians, so one descheduled run cannot flake the gate;
 #      the tracing-disabled heartbeat (BM_PnaHeartbeatTraced/0) is gated
 #      against the same baseline
-#   4. ASan/UBSan build of the test suite (PNATS_SANITIZE=asan), catching
+#   6. ASan/UBSan build of the test suite (PNATS_SANITIZE=asan), catching
 #      memory and UB bugs the plain build cannot
-#   5. TSan build running the fast-vs-naive equivalence suite (the
+#   7. TSan build running the fast-vs-naive equivalence suite (the
 #      incremental index under the threaded drivers) plus the flow-solver
 #      differential suite (its parallel model exercises the threaded
 #      component sweep); TSAN=1 widens this to the full test suite
@@ -186,6 +189,67 @@ echo "$CH_OUT" | grep -Eq 'retries=[1-9][0-9]*'
 test -s "$SMOKE_DIR/chaos.jsonl"
 ./build/tools/trace_analyze "$SMOKE_DIR/chaos.jsonl" --top 3 >/dev/null
 echo "chaos smoke: stream drained with non-zero stall retries"
+echo "==> observer smoke: the four observers read one lifecycle stream"
+# One chaos stream with every observer attached: the CSV trace's per-kind
+# row counts must equal the matching lifecycle counters in the telemetry
+# JSONL, the Perfetto document must parse, and trace_analyze must accept
+# the causal trace. All four are fed by the engine's single event stream.
+OB_OUT="$(./build/tools/pnats_sim --arrivals poisson --rate 720 \
+  --duration 600 --nodes 12 --racks 3 --job-scale 0.05 --warmup 100 \
+  --seed 42 --link-mtbf 60 --link-repair 45 --stall-timeout 30 \
+  --blacklist --mtbf 200 --speculation --straggler-p 0.1 \
+  --log-level warn --quiet --trace "$SMOKE_DIR/obs.csv" \
+  --perfetto-out "$SMOKE_DIR/obs.perfetto.json" \
+  --telemetry-out "$SMOKE_DIR/obs.telemetry.jsonl" \
+  --trace-out "$SMOKE_DIR/obs.causal.jsonl")"
+echo "$OB_OUT" | grep -q 'drained=yes'
+./build/tools/trace_analyze "$SMOKE_DIR/obs.causal.jsonl" --top 1 >/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$SMOKE_DIR" <<'PY'
+import collections, csv, json, sys
+d = sys.argv[1]
+with open(d + "/obs.csv", newline="") as f:
+    rows = collections.Counter(r["kind"] for r in csv.DictReader(f))
+counters = {}
+with open(d + "/obs.telemetry.jsonl") as f:
+    for line in f:
+        o = json.loads(line)
+        if o["type"] == "counter":
+            counters[o["name"]] = o["value"]
+pairs = {
+    "job-activated": "engine.jobs.activated",
+    "job-finished": "engine.jobs.finished",
+    "job-aborted": "control.jobs.aborted",
+    "map-assigned": "engine.maps.assigned",
+    "map-finished": "engine.maps.finished",
+    "map-killed": "engine.maps.killed",
+    "reduce-assigned": "engine.reduces.assigned",
+    "reduce-finished": "engine.reduces.finished",
+    "reduce-killed": "engine.reduces.killed",
+    "speculative-launch": "engine.speculative_launches",
+    "node-failed": "engine.nodes.failed",
+    "node-recovered": "engine.nodes.recovered",
+    "stall-timeout": "engine.transfer.stall_timeouts",
+}
+for kind, counter in pairs.items():
+    assert rows[kind] == counters[counter], \
+        f"{kind}: {rows[kind]} CSV rows vs {counter}={counters[counter]}"
+for kind in ("map-killed", "speculative-launch", "stall-timeout"):
+    assert rows[kind] > 0, f"no {kind} rows: the smoke no longer covers it"
+trace = json.load(open(d + "/obs.perfetto.json"))
+assert trace["traceEvents"], "empty perfetto trace"
+print(f"observer smoke: {sum(rows.values())} CSV rows match "
+      f"{len(pairs)} lifecycle counters")
+PY
+fi
+
+echo "==> header smoke: the run header reports the topology it builds"
+./build/tools/pnats_sim --fat-tree 4 --arrivals poisson --rate 120 \
+  --duration 300 --warmup 50 --job-scale 0.02 --log-level warn \
+  | grep -q '| 16 nodes (fat-tree k=4) |'
+./build/tools/pnats_sim --fat-tree 4 --batch grep --log-level warn \
+  | grep -q '| 16 nodes (fat-tree k=4) |'
+
 echo "==> chaos smoke: quick degraded-network bench runs"
 PNATS_QUICK=1 ./build/bench/bench_degraded_network >/dev/null
 test -s bench_out/degraded_network_quick.csv

@@ -138,6 +138,7 @@
 #include <string>
 
 #include "mrs/common/log.hpp"
+#include "mrs/common/strfmt.hpp"
 #include "mrs/driver/experiment.hpp"
 #include "mrs/driver/result_io.hpp"
 #include "mrs/driver/stream_experiment.hpp"
@@ -367,6 +368,15 @@ std::vector<workload::JobDescription> parse_batch(const std::string& s) {
 
 /// One line per node class: drawn composition plus executed-task counters
 /// (the lazy hetero.class.* metrics; zero when a class never ran a task).
+/// "60 nodes x 1 racks" or "16 nodes (fat-tree k=4)": the topology the
+/// run builds, not the --nodes/--racks flags a fat-tree overrides.
+std::string topology_label(const driver::ExperimentConfig& cfg) {
+  if (cfg.fat_tree_k != 0) {
+    return strf("%zu nodes (fat-tree k=%zu)", cfg.nodes, cfg.fat_tree_k);
+  }
+  return strf("%zu nodes x %zu racks", cfg.nodes, cfg.racks);
+}
+
 void print_class_summary(const driver::ExperimentResult& result) {
   for (const auto& c : result.node_classes) {
     const auto finished = [&](const char* what) {
@@ -793,10 +803,10 @@ int main(int argc, char** argv) {
 
     if (!quiet) {
       std::printf("pnats_sim: open-loop %s stream | %.1f jobs/h over %.0fs "
-                  "(warmup %.0fs) | %zu nodes x %zu racks | scheduler=%s "
-                  "seed=%llu\n",
-                  arrivals_mode.c_str(), rate, duration, scfg.warmup, nodes,
-                  racks, driver::to_string(cfg.scheduler),
+                  "(warmup %.0fs) | %s | scheduler=%s seed=%llu\n",
+                  arrivals_mode.c_str(), rate, duration, scfg.warmup,
+                  topology_label(scfg.base).c_str(),
+                  driver::to_string(cfg.scheduler),
                   static_cast<unsigned long long>(seed));
     }
     const auto stream = driver::run_stream_experiment(scfg);
@@ -874,9 +884,8 @@ int main(int argc, char** argv) {
     usage(2);
   }
   if (!quiet) {
-    std::printf("pnats_sim: %zu jobs | %zu nodes x %zu racks | "
-                "scheduler=%s seed=%llu\n",
-                cfg.jobs.size(), cfg.nodes, cfg.racks,
+    std::printf("pnats_sim: %zu jobs | %s | scheduler=%s seed=%llu\n",
+                cfg.jobs.size(), topology_label(cfg).c_str(),
                 driver::to_string(cfg.scheduler),
                 static_cast<unsigned long long>(seed));
   }
