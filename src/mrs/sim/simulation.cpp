@@ -82,7 +82,22 @@ bool Simulation::settle_top() {
   return false;
 }
 
+void Simulation::at_instant_end(Callback cb) {
+  MRS_REQUIRE(cb != nullptr);
+  instant_end_.push_back(std::move(cb));
+}
+
+void Simulation::end_instant() {
+  while (!instant_end_.empty()) {
+    if (settle_top() && heap_.front().time <= now_) return;  // not over yet
+    instant_batch_.swap(instant_end_);
+    for (Callback& cb : instant_batch_) cb();
+    instant_batch_.clear();
+  }
+}
+
 bool Simulation::step() {
+  end_instant();  // work registered outside any event
   if (!settle_top()) return false;
   const Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
@@ -94,6 +109,7 @@ bool Simulation::step() {
   --live_events_;
   ++processed_;
   cb();
+  end_instant();
   if (callbacks_.size() > kCallbackSweepMin) compact_callbacks();
   return true;
 }
@@ -101,6 +117,7 @@ bool Simulation::step() {
 std::size_t Simulation::run(Seconds max_time) {
   std::size_t n = 0;
   while (true) {
+    end_instant();  // work registered outside any event
     // Settle tombstones so the stop check sees the next *live* event time.
     if (!settle_top()) break;
     if (heap_.front().time > max_time) break;

@@ -9,6 +9,11 @@
 // cleanup: the heap filters dead entries in one O(n) pass once tombstones
 // outnumber live entries, and the callback table drops its fired prefix
 // from a remembered scan floor instead of rescanning from index 0.
+//
+// Instant-end callbacks (`at_instant_end`) let a layer batch the work of
+// one simulated instant: they run once the last live event at `now()` has
+// fired, before the clock moves on. The network service uses this to arm
+// one flow-completion event per instant instead of one per flow change.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +64,19 @@ class Simulation {
   /// Cancel a pending event; a no-op if it already fired or was cancelled.
   void cancel(EventHandle h);
 
-  /// Process the next event; returns false when the queue is empty.
+  /// Run `cb` once the current instant ends: after the last live event at
+  /// `now()`, before the clock advances or the queue drains. Callbacks run
+  /// in registration order and are not events (processed_count() does not
+  /// count them). Events they schedule at `now()` still belong to this
+  /// instant: those run next, and the instant ends again after them.
+  void at_instant_end(Callback cb);
+
+  /// Process the next event, then end the instant if it was its last;
+  /// returns false when the queue is empty.
   bool step();
 
-  /// Run until the queue drains or the clock would pass `max_time`.
+  /// Run until the queue drains or the clock would pass `max_time`; the
+  /// last instant run is ended before returning.
   /// Returns the number of events processed.
   std::size_t run(Seconds max_time = std::numeric_limits<Seconds>::max());
 
@@ -97,11 +111,15 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;
   std::size_t processed_ = 0;
+  std::vector<Callback> instant_end_;  ///< run when the instant ends
+  std::vector<Callback> instant_batch_;  ///< the batch being run (reused)
 
   [[nodiscard]] Callback* find(std::uint64_t seq);
   [[nodiscard]] bool is_live(const Entry& e);
   /// Pop tombstones off the heap top; returns false when the heap empties.
   bool settle_top();
+  /// Run the instant-end callbacks if no live event remains at now().
+  void end_instant();
   /// Remove every dead heap entry in one pass and re-heapify.
   void compact_heap();
   /// Erase the dead callbacks_ prefix (amortized via scan_floor_).

@@ -5,7 +5,8 @@
 // remaining bytes, stall flag, completion order, and every maintained
 // per-link rate aggregate — across thousands of interleaved start / cancel /
 // advance / resample / fault events on fat-trees from k=4 up to the 1k-host
-// k=16 case.
+// k=16 case. The FlowLazySolve cases pin the one-solve-per-instant
+// contract against an eager twin.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -302,6 +303,158 @@ TEST_P(FlowDifferential, SwitchFaultsFatTreeK8) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowDifferential, ::testing::Values(1, 2, 7));
+
+// Lazy solving: every change of one instant waits for one solve at the
+// first rate query. A twin that runs a settling query after each mutation
+// reproduces the eager solver; the two must agree bit for bit.
+void expect_same_bits(const Topology& topo, const FlowModel& lazy,
+                      const FlowModel& eager, std::size_t flows) {
+  ASSERT_EQ(lazy.stalled_count(), eager.stalled_count());
+  for (std::size_t i = 0; i < flows; ++i) {
+    const FlowInfo& a = eager.info(FlowId(i));
+    const FlowInfo& b = lazy.info(FlowId(i));
+    ASSERT_EQ(b.rate, a.rate) << "flow " << i;
+    ASSERT_EQ(b.remaining, a.remaining) << "flow " << i;
+    ASSERT_EQ(b.stalled, a.stalled) << "flow " << i;
+    ASSERT_EQ(b.active, a.active) << "flow " << i;
+  }
+  for (std::size_t d = 0; d < topo.link_count() * 2; ++d) {
+    ASSERT_EQ(lazy.directed_link_load(d), eager.directed_link_load(d))
+        << "link " << d;
+  }
+}
+
+TEST(FlowLazySolve, ManyChangesAtOneInstantSolveOnce) {
+  const Topology topo = make_fat_tree({4, units::Gbps(1)});
+  FlowModel lazy(&topo);
+  FlowModel eager(&topo);
+  Rng rng(5);
+  std::vector<FlowId> live;
+  std::size_t created = 0;
+  Seconds now = 0.0;
+  for (int instant = 0; instant < 300; ++instant) {
+    // Half the instants land just past the next completion, so
+    // completions, starts and cancels share one instant.
+    const auto next = eager.next_completion();
+    now = next && rng.bernoulli(0.5) ? std::max(now, next->first) + 1e-9
+                                     : now + rng.uniform(0.001, 0.05);
+    lazy.advance_to(now);
+    eager.advance_to(now);
+    (void)eager.next_completion();
+    const std::vector<FlowId> done = lazy.collect_completed();
+    const std::vector<FlowId> eager_done = eager.collect_completed();
+    ASSERT_EQ(done.size(), eager_done.size());
+    for (std::size_t j = 0; j < done.size(); ++j) {
+      ASSERT_EQ(done[j].value(), eager_done[j].value());
+      std::erase(live, done[j]);
+    }
+    const std::uint64_t solves_before = lazy.solve_count();
+    const std::size_t ops = 1 + rng.index(8);
+    for (std::size_t op = 0; op < ops; ++op) {
+      if (live.empty() || rng.bernoulli(0.6)) {
+        const NodeId src(rng.index(topo.host_count()));
+        const NodeId dst((src.value() + 1 + rng.index(topo.host_count() - 1)) %
+                         topo.host_count());
+        const Bytes size = rng.uniform(0.01, 0.5) * kGb;
+        const BytesPerSec cap =
+            rng.bernoulli(0.3) ? rng.uniform(0.02, 0.6) * kGb : 1e18;
+        live.push_back(lazy.start(src, dst, size, now, cap));
+        eager.start(src, dst, size, now, cap);
+        ++created;
+      } else {
+        const std::size_t pick = rng.index(live.size());
+        lazy.cancel(live[pick], now);
+        eager.cancel(live[pick], now);
+        live[pick] = live.back();
+        live.pop_back();
+      }
+      (void)eager.next_completion();  // the eager twin settles every change
+    }
+    ASSERT_EQ(lazy.solve_count(), solves_before) << "solved before a query";
+    expect_same_bits(topo, lazy, eager, created);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "instant " << instant;
+    ASSERT_EQ(lazy.solve_count(),
+              solves_before + (lazy.active_count() > 0 ? 1u : 0u));
+  }
+  EXPECT_EQ(lazy.change_count(), eager.change_count());
+  EXPECT_LT(lazy.solve_count() * 2, eager.solve_count());
+}
+
+TEST(FlowLazySolve, PendingChangesSettleBeforeCapacityChanges) {
+  // A start left pending when the condition model resamples, cuts a link
+  // or surges one must be solved with the capacities in effect when it
+  // started, exactly as the eager solver did.
+  const Topology topo = make_fat_tree({4, units::Gbps(1)});
+  BackgroundTrafficConfig bg;
+  bg.mean_utilization = 0.3;
+  bg.burst_utilization = 0.4;
+  bg.burst_probability = 0.2;
+  bg.resample_interval = 30.0;
+  bg.uplinks_only = false;
+  LinkConditionModel lazy_cond(&topo, bg, Rng(9));
+  LinkConditionModel eager_cond(&topo, bg, Rng(9));
+  FlowModel lazy(&topo, &lazy_cond);
+  FlowModel eager(&topo, &eager_cond);
+  Rng rng(3);
+  std::size_t created = 0;
+  // Starts one flow in both models and returns its first link.
+  auto start_both = [&](Seconds t) {
+    const NodeId src(rng.index(topo.host_count()));
+    const NodeId dst((src.value() + 1 + rng.index(topo.host_count() - 1)) %
+                     topo.host_count());
+    const Bytes size = rng.uniform(1.0, 4.0) * kGb;
+    lazy.start(src, dst, size, t);
+    eager.start(src, dst, size, t);
+    (void)eager.next_completion();
+    ++created;
+    return topo.path(src, dst)[0].link;
+  };
+  for (int i = 0; i < 12; ++i) start_both(0.0);
+  expect_same_bits(topo, lazy, eager, created);
+
+  // Resample: the condition model crosses its 30 s grid point at the
+  // instant of the pending start (a heartbeat's distance query does this).
+  start_both(30.0);
+  lazy_cond.advance_to(30.0);
+  eager_cond.advance_to(30.0);
+  expect_same_bits(topo, lazy, eager, created);
+
+  // Fault toggle on the pending flow's first hop.
+  const LinkId cut = start_both(31.0);
+  lazy_cond.set_link_fault(cut, true);
+  eager_cond.set_link_fault(cut, true);
+  expect_same_bits(topo, lazy, eager, created);
+
+  // Surge on the pending flow's first hop.
+  const LinkId surged = start_both(32.0);
+  lazy_cond.add_link_surge(surged, 0.5);
+  eager_cond.add_link_surge(surged, 0.5);
+  expect_same_bits(topo, lazy, eager, created);
+
+  // Re-solving under the new capacities and draining stays identical too.
+  lazy.recompute_rates();
+  eager.recompute_rates();
+  lazy_cond.set_link_fault(cut, false);
+  eager_cond.set_link_fault(cut, false);
+  lazy.recompute_rates();
+  eager.recompute_rates();
+  while (eager.active_count() > 0) {
+    const auto next = eager.next_completion();
+    ASSERT_TRUE(next.has_value());
+    const Seconds t = std::max(next->first, eager.now()) + 1e-9;
+    lazy.advance_to(t);
+    eager.advance_to(t);
+    const std::vector<FlowId> done = lazy.collect_completed();
+    const std::vector<FlowId> eager_done = eager.collect_completed();
+    ASSERT_EQ(done.size(), eager_done.size());
+    for (std::size_t j = 0; j < done.size(); ++j) {
+      ASSERT_EQ(done[j].value(), eager_done[j].value());
+    }
+    (void)eager.next_completion();
+    expect_same_bits(topo, lazy, eager, created);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+}
 
 // The 1k-host case: one seed, fewer events (the naive reference scans all
 // 6144 directed links per filling round, so this is the expensive one).
