@@ -392,6 +392,12 @@ ExperimentResult run_experiment_impl(const ExperimentConfig& cfg,
                                      nc.reduce_slots, nc.link_scale});
     }
   }
+  if (cfg.enable_telemetry) {
+    // Flow-layer work. Every solver path (naive, threaded) coalesces
+    // changes into the same solves, so both counts are path-independent.
+    registry.counter("net.flow.changes").inc(network.flows().change_count());
+    registry.counter("net.flow.solves").inc(network.flows().solve_count());
+  }
   result.telemetry = registry.snapshot();
   if (sampler) result.samples = sampler->series();
   if (tracing) {

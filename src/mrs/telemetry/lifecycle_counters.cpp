@@ -34,13 +34,16 @@ constexpr const char* kKindCounter[] = {
 };
 static_assert(std::size(kKindCounter) == mapreduce::kLifecycleKinds);
 
-/// Slot of `kind` in a node's per-class counters; -1 when it has none.
-int class_slot(LifecycleKind kind) {
-  switch (kind) {
+/// Slot of `e` in its node's per-class counters; -1 when it has none. A
+/// speculative launch assigns the backup attempt to its node, and that
+/// attempt's finish counts there, so it counts as an assignment too.
+int class_slot(const mapreduce::LifecycleEvent& e) {
+  switch (e.kind) {
     case LifecycleKind::kMapAssigned: return 0;
     case LifecycleKind::kMapFinished: return 1;
     case LifecycleKind::kReduceAssigned: return 2;
     case LifecycleKind::kReduceFinished: return 3;
+    case LifecycleKind::kSpeculativeLaunch: return e.is_map ? 0 : 2;
     default: return -1;
   }
 }
@@ -75,7 +78,7 @@ void LifecycleCounters::on_event(const mapreduce::LifecycleEvent& e) {
       e.kind == LifecycleKind::kReduceAssigned) {
     locality_[e.is_map][static_cast<int>(e.locality)]->inc();
   }
-  const int slot = class_slot(e.kind);
+  const int slot = class_slot(e);
   if (slot < 0 || node_class_.empty()) return;
   auto& counters = node_counters_.at(e.node.value());
   if (counters[0] == nullptr) {

@@ -8,7 +8,8 @@
 #      measured response time, shares summing to ~100%)
 #   4. observer smoke: one chaos stream with all four observers attached
 #      must show CSV per-kind row counts equal to the lifecycle counters;
-#      the run header must report a fat-tree's real node count
+#      the run header must report a fat-tree's real node count; a
+#      fat-tree stream must solve flow rates fewer times than flows change
 #   5. perf smoke: bench_micro_scheduler's gated families must keep the
 #      optimized path ahead of the naive path (2x for the saturated
 #      heartbeat scans, 10x for the 1k-host fat-tree flow solver) and
@@ -249,6 +250,28 @@ echo "==> header smoke: the run header reports the topology it builds"
   | grep -q '| 16 nodes (fat-tree k=4) |'
 ./build/tools/pnats_sim --fat-tree 4 --batch grep --log-level warn \
   | grep -q '| 16 nodes (fat-tree k=4) |'
+
+echo "==> flow smoke: flow changes at one instant share one solve"
+# Fetchers on a fat-tree start and finish many flows at one simulated
+# instant; the flow model solves once per instant, so the run must report
+# fewer net.flow.solves than net.flow.changes.
+./build/tools/pnats_sim --fat-tree 4 --arrivals poisson --rate 120 \
+  --duration 300 --warmup 50 --job-scale 0.05 --log-level warn --quiet \
+  --telemetry-out "$SMOKE_DIR/flow.telemetry.jsonl" >/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$SMOKE_DIR" <<'PY'
+import json, sys
+counters = {}
+with open(sys.argv[1] + "/flow.telemetry.jsonl") as f:
+    for line in f:
+        o = json.loads(line)
+        if o["type"] == "counter":
+            counters[o["name"]] = o["value"]
+changes, solves = counters["net.flow.changes"], counters["net.flow.solves"]
+assert 0 < solves < changes, f"solves={solves} changes={changes}"
+print(f"flow smoke: {solves} solves for {changes} flow changes")
+PY
+fi
 
 echo "==> chaos smoke: quick degraded-network bench runs"
 PNATS_QUICK=1 ./build/bench/bench_degraded_network >/dev/null
