@@ -42,15 +42,19 @@ void PerfettoTrace::on_event(const mapreduce::LifecycleEvent& e) {
       open_jobs_[subject] = {e.time, next_job_tid_++, {}};
       break;
     }
-    case LifecycleKind::kJobFinished: {
+    case LifecycleKind::kJobFinished:
+    case LifecycleKind::kJobAborted: {
+      // An aborted job's slice ends at the abort, in its own category.
       const auto it = open_jobs_.find(subject);
       if (it == open_jobs_.end()) break;
       append_event(
           out,
-          strf("{\"name\":\"%s\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":%s,"
+          strf("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,"
                "\"dur\":%s,\"pid\":%d,\"tid\":%zu,\"args\":{\"detail\":"
                "\"%s\"}}",
-               json_escape(subject).c_str(), us(it->second.start).c_str(),
+               json_escape(subject).c_str(),
+               e.kind == LifecycleKind::kJobAborted ? "aborted" : "job",
+               us(it->second.start).c_str(),
                us(e.time - it->second.start).c_str(), kJobsPid,
                it->second.tid,
                json_escape(mapreduce::format_detail(e)).c_str()));

@@ -371,6 +371,34 @@ TEST(PerfettoExport, EmitsBalancedJsonWithSlicesAndCounters) {
   EXPECT_NE(doc.find("process_name"), std::string::npos);
 }
 
+TEST(PerfettoExport, AbortedJobClosesItsSlice) {
+  using mapreduce::LifecycleKind;
+  mapreduce::JobSpec done;
+  done.name = "done";
+  mapreduce::JobSpec aborted;
+  aborted.name = "aborted";
+  PerfettoTrace perfetto;
+  perfetto.on_event(
+      {.time = 1.0, .kind = LifecycleKind::kJobActivated, .job = &done});
+  perfetto.on_event(
+      {.time = 2.0, .kind = LifecycleKind::kJobActivated, .job = &aborted});
+  perfetto.on_event({.time = 9.5, .kind = LifecycleKind::kJobAborted,
+                     .job = &aborted});
+  perfetto.on_event({.time = 11.0, .kind = LifecycleKind::kJobFinished,
+                     .job = &done, .value = 10.0});
+  const std::string doc = perfetto.document(Snapshot{}, TimeSeries{});
+  EXPECT_NE(doc.find("{\"name\":\"aborted\",\"cat\":\"aborted\",\"ph\":\"X\","
+                     "\"ts\":2000000.000,\"dur\":7500000.000,\"pid\":2,"
+                     "\"tid\":1"),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("{\"name\":\"done\",\"cat\":\"job\",\"ph\":\"X\","
+                     "\"ts\":1000000.000,\"dur\":10000000.000,\"pid\":2,"
+                     "\"tid\":0"),
+            std::string::npos)
+      << doc;
+}
+
 TEST(PerfettoExport, UnpairedAssignIsTolerated) {
   // An assignment with no finish (run truncated) must not corrupt the
   // document.
